@@ -7,42 +7,47 @@
 //! are identical at every worker count — asserted here after measuring.
 
 use mpl_bench::harness::Group;
-use mpl_core::{AnalysisConfig, BatchAnalyzer, BatchJob, Client};
+use mpl_core::{AnalysisRequest, Client, RequestBatch};
 use mpl_lang::corpus;
 use std::hint::black_box;
 
 /// The corpus plus a few scaled workloads so the batch has enough work
 /// to amortize thread startup.
-fn jobs() -> Vec<BatchJob> {
+fn jobs() -> Vec<AnalysisRequest> {
     let mut out = Vec::new();
     for prog in corpus::all() {
-        out.push(BatchJob::new(
-            prog.name,
-            prog.program,
-            AnalysisConfig::default(),
-        ));
+        out.push(
+            AnalysisRequest::builder()
+                .name(prog.name)
+                .program(prog.program)
+                .build()
+                .expect("valid request"),
+        );
     }
     for k in [8usize, 16, 24] {
         let prog = corpus::repeated_exchanges(k);
-        let config = AnalysisConfig::builder()
-            .client(Client::Simple)
-            .build()
-            .expect("valid config");
-        out.push(BatchJob::new(
-            format!("repeated_exchanges_{k}"),
-            prog.program,
-            config,
-        ));
+        out.push(
+            AnalysisRequest::builder()
+                .name(format!("repeated_exchanges_{k}"))
+                .program(prog.program)
+                .client(Client::Simple)
+                .build()
+                .expect("valid request"),
+        );
     }
     out
 }
 
-fn run_batch(workers: usize) -> usize {
-    let mut batch = BatchAnalyzer::new().workers(workers);
+fn batch(workers: usize) -> RequestBatch {
+    let mut batch = RequestBatch::new().workers(workers);
     for job in jobs() {
         batch.push(job);
     }
-    batch.run().summary.programs
+    batch
+}
+
+fn run_batch(workers: usize) -> usize {
+    batch(workers).run().summary.programs
 }
 
 fn main() {
@@ -56,19 +61,18 @@ fn main() {
 
     // Sanity: the batch is result-deterministic at every worker count.
     let render = |workers: usize| {
-        let mut batch = BatchAnalyzer::new().workers(workers);
-        for job in jobs() {
-            batch.push(job);
-        }
-        batch
+        batch(workers)
             .run()
-            .records
+            .responses
             .iter()
             .map(|r| {
                 let result = r.result.as_ref().expect("fault-free corpus completes");
                 format!(
                     "{} {:?} {:?} {}",
-                    r.name, result.verdict, result.matches, result.steps
+                    r.name.as_deref().unwrap_or_default(),
+                    result.verdict,
+                    result.matches,
+                    result.steps
                 )
             })
             .collect::<Vec<_>>()

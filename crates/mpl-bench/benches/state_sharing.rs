@@ -6,11 +6,6 @@
 //! small control program that must stay in the noise. Also reports how
 //! many matrix copies the CoW layer actually materialized.
 //!
-//! The wide rows are additionally re-measured under the frontier-
-//! parallel round executor (`par_jobs` 2 and 4) with the speedup over
-//! the sequential row — flat times are expected on single-core runners,
-//! where the rows still pin that parallel dispatch adds no blow-up.
-//!
 //! Writes a JSON summary to `$BENCH_STATE_SHARING_JSON` when that
 //! variable is set (the `scripts/verify.sh` artifact
 //! `BENCH_state_sharing.json`); always prints the same rows as a table.
@@ -18,18 +13,18 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use mpl_bench::{profiled_run_par, ProfiledRun};
+use mpl_bench::{profiled_run, ProfiledRun};
 use mpl_core::Client;
 use mpl_domains::stats;
 use mpl_lang::corpus;
 
 /// Best-of-N wall-clock measurement of one corpus program, with the
 /// matrix-copy delta of the fastest run's pass.
-fn measure(prog: &corpus::CorpusProgram, runs: u32, par: usize) -> (ProfiledRun, u64) {
+fn measure(prog: &corpus::CorpusProgram, runs: u32) -> (ProfiledRun, u64) {
     let mut best: Option<(ProfiledRun, u64)> = None;
     for _ in 0..runs {
         let before = stats::matrix_copies();
-        let run = profiled_run_par(prog, Client::Simple, par);
+        let run = profiled_run(prog, Client::Simple);
         let copies = stats::matrix_copies() - before;
         let better = best
             .as_ref()
@@ -70,7 +65,7 @@ fn main() {
 
     let mut rows = String::from("[");
     for (i, (label, prog, runs)) in programs.iter().enumerate() {
-        let (run, copies) = measure(prog, *runs, 1);
+        let (run, copies) = measure(prog, *runs);
         let p = &run.profile;
         println!(
             "{:<22} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>8} {:>12} {:>8}",
@@ -104,53 +99,9 @@ fn main() {
     }
     rows.push(']');
 
-    // Frontier-parallel scaling on the wide rows: par_jobs 1/2/4, with
-    // the speedup of each parallel row over its own sequential baseline.
-    println!();
-    println!("== frontier-parallel rounds (E21) ==");
-    println!(
-        "{:<22} {:>4} {:>10} {:>10} {:>10} {:>8}",
-        "program", "par", "total", "rnd-wait", "rnd-merge", "speedup"
-    );
-    let wide = [
-        ("exchange_wide_24", corpus::exchange_with_root_wide(24), 3),
-        ("exchange_wide_48", corpus::exchange_with_root_wide(48), 2),
-        ("exchange_wide_96", corpus::exchange_with_root_wide(96), 2),
-    ];
-    let mut par_rows = String::from("[");
-    let mut first = true;
-    for (label, prog, runs) in &wide {
-        let mut base_ms = 0.0;
-        for par in [1usize, 2, 4] {
-            let (run, _) = measure(prog, *runs, par);
-            let p = &run.profile;
-            let total_ms = ms(p.total);
-            if par == 1 {
-                base_ms = total_ms;
-            }
-            let speedup = base_ms / total_ms.max(1e-9);
-            println!(
-                "{:<22} {:>4} {:>10.2?} {:>10.2?} {:>10.2?} {:>7.2}x",
-                label, par, p.total, p.round_wait, p.round_merge, speedup
-            );
-            if !first {
-                par_rows.push(',');
-            }
-            first = false;
-            let _ = write!(
-                par_rows,
-                "{{\"program\":\"{label}\",\"par_jobs\":{par},\"total_ms\":{total_ms:.3},\
-                 \"round_wait_ms\":{:.3},\"round_merge_ms\":{:.3},\"speedup\":{speedup:.3}}}",
-                ms(p.round_wait),
-                ms(p.round_merge),
-            );
-        }
-    }
-    par_rows.push(']');
-
     if let Ok(path) = std::env::var("BENCH_STATE_SHARING_JSON") {
         let json = format!(
-            "{{\"bench\":\"state_sharing\",\"nproc\":{},\"rows\":{rows},\"par_rows\":{par_rows}}}\n",
+            "{{\"bench\":\"state_sharing\",\"nproc\":{},\"rows\":{rows}}}\n",
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         );
         std::fs::write(&path, json).expect("write BENCH_STATE_SHARING_JSON");

@@ -12,12 +12,9 @@
 //! Pass `--ablation` to add the full-reclose ablation (the unoptimized
 //! prototype behaviour, §IX roadmap). Pass `--check` to fail (exit 1)
 //! unless the per-phase breakdown accounts for the measured total on the
-//! mid-size programs — the smoke test `scripts/verify.sh` runs. Pass
-//! `--par N` to profile under the frontier-parallel round executor
-//! (the round-wait/round-merge phases join the breakdown and the
-//! coverage check).
+//! mid-size programs — the smoke test `scripts/verify.sh` runs.
 
-use mpl_bench::{profiled_run_par, ProfiledRun};
+use mpl_bench::{profiled_run, ProfiledRun};
 use mpl_core::Client;
 use mpl_domains::set_force_full_closure;
 use mpl_lang::corpus::{self, GridDims};
@@ -49,18 +46,8 @@ fn check_phase_coverage(runs: &[ProfiledRun]) -> bool {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let ablation = args.iter().any(|a| a == "--ablation");
-    let check = args.iter().any(|a| a == "--check");
-    let par: usize = args
-        .iter()
-        .position(|a| a == "--par")
-        .and_then(|i| args.get(i + 1))
-        .map_or(1, |v| v.parse().expect("--par takes a worker count"));
-    assert!(par >= 1, "--par must be at least 1");
-    if par > 1 {
-        println!("intra-analysis workers: {par} (frontier-parallel rounds)");
-    }
+    let ablation = std::env::args().any(|a| a == "--ablation");
+    let check = std::env::args().any(|a| a == "--check");
 
     println!("================================================================");
     println!("§IX profile — closure operations during pCFG analysis (E6)");
@@ -96,7 +83,7 @@ fn main() {
 
     let mut runs = Vec::new();
     for (prog, client) in &programs {
-        let run = profiled_run_par(prog, *client, par);
+        let run = profiled_run(prog, *client);
         println!(
             "{:<26} {:<10} {:>9} {:>8} {:>9.1} {:>8} {:>9.1} {:>8.2?} {:>7.1}%",
             run.name,
@@ -117,30 +104,19 @@ fn main() {
     println!("per-phase engine breakdown (E18)");
     println!("================================================================");
     println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
-        "program",
-        "transfer",
-        "match",
-        "join/widen",
-        "admission",
-        "rnd-wait",
-        "rnd-merge",
-        "total",
-        "stored",
-        "~bytes"
+        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
+        "program", "transfer", "match", "join/widen", "admission", "total", "stored", "~bytes"
     );
-    println!("{}", "-".repeat(122));
+    println!("{}", "-".repeat(100));
     for run in &runs {
         let p = &run.profile;
         println!(
-            "{:<26} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>7} {:>10}",
+            "{:<26} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>7} {:>10}",
             run.name,
             p.transfer,
             p.matching,
             p.join_widen,
             p.admission,
-            p.round_wait,
-            p.round_merge,
             p.total,
             p.stored.locations,
             p.stored.approx_bytes,
@@ -173,9 +149,9 @@ fn main() {
             (corpus::exchange_with_root_wide(24), Client::Simple),
         ];
         for (prog, client) in &ablation_set {
-            let fast = profiled_run_par(prog, *client, 1);
+            let fast = profiled_run(prog, *client);
             set_force_full_closure(true);
-            let slow = profiled_run_par(prog, *client, 1);
+            let slow = profiled_run(prog, *client);
             set_force_full_closure(false);
             println!(
                 "{:<26} {:>14.2?} {:>14.2?} {:>8.2}x {:>6}+{:>6} {:>6}+{:>6}",

@@ -60,17 +60,8 @@ impl ProfiledRun {
 /// so concurrent thread-local activity never needs a global reset.
 #[must_use]
 pub fn profiled_run(prog: &CorpusProgram, client: Client) -> ProfiledRun {
-    profiled_run_par(prog, client, 1)
-}
-
-/// [`profiled_run`] with an intra-analysis worker count: `par > 1`
-/// engages the frontier-parallel round executor (byte-identical
-/// results; only the wall-clock phases shift).
-#[must_use]
-pub fn profiled_run_par(prog: &CorpusProgram, client: Client, par: usize) -> ProfiledRun {
     let config = AnalysisConfig::builder()
         .client(client)
-        .intra_jobs(par)
         .build()
         .expect("default-based config is valid");
     let cfg = mpl_cfg::Cfg::build(&prog.program);

@@ -21,9 +21,7 @@
 pub mod dataflow;
 pub mod dot;
 pub mod graph;
-pub mod scc;
 pub mod seq_constprop;
 
 pub use dataflow::{solve_forward, ForwardAnalysis, JoinSemiLattice};
 pub use graph::{Cfg, CfgNode, CfgNodeId, EdgeKind};
-pub use scc::SccRanks;

@@ -1,9 +1,9 @@
 //! # mpl-cli — the `mpl` command-line tool
 //!
 //! ```text
-//! mpl analyze <file> [--client simple|cartesian] [--min-np N] [--par N] [--trace]
-//! mpl analyze-corpus  [--dir D] [--jobs N] [--client C] [--min-np N] [--par N]
-//!                     [--timeout-ms T] [--retries R] [--keep-going] [--json] [--timing]
+//! mpl analyze <file> [--client simple|cartesian] [--min-np N] [--trace]
+//! mpl analyze-corpus  [--dir D] [--jobs N] [--client C] [--min-np N] [--timeout-ms T]
+//!                     [--retries R] [--keep-going] [--json] [--timing]
 //! mpl run     <file> --np N [--seed S] [--rendezvous] [--set var=val]...
 //! mpl check   <file>                  # diagnostics; exit 1 on findings
 //! mpl dot     <file>                  # Graphviz CFG
@@ -32,7 +32,7 @@ use mpl_core::diagnostics::diagnose;
 use mpl_core::{
     analyze_cfg, analyze_cfg_with, classify, info_flow, mpi_cfg_topology, summary_json_line,
     AnalysisConfig, AnalysisRequest, BatchResponse, Client, ObserverStack, RequestBatch,
-    ScheduleOrder, StaticTopology, StatsObserver, TraceObserver, Verdict,
+    StaticTopology, StatsObserver, TraceObserver, Verdict,
 };
 use mpl_lang::{corpus, parse_program};
 use mpl_sim::{Schedule, SendMode, SimConfig, Simulator};
@@ -171,18 +171,16 @@ pub fn run_command(args: &[String], source: &str) -> Result<CmdOutput, Box<dyn E
 #[must_use]
 pub fn usage() -> &'static str {
     "usage:\n  \
-     mpl analyze <file> [--client simple|cartesian] [--min-np N] [--par N]\n              \
-     [--order fifo|priority] [--trace] [--stats] [--json]\n  \
+     mpl analyze <file> [--client simple|cartesian] [--min-np N] [--trace] [--stats] [--json]\n  \
      mpl analyze-corpus  [--dir D] [--jobs N] [--client simple|cartesian] [--min-np N]\n              \
-     [--par N] [--order fifo|priority]\n              \
      [--timeout-ms T] [--retries R] [--keep-going] [--json] [--timing]\n  \
      mpl serve   (--socket PATH | --tcp ADDR) [--cache N] [--cache-dir D] [--compact-every N]\n              \
      [--max-in-flight N] [--max-line-bytes N] [--drain-timeout-ms T]\n              \
      [--quota-rps N] [--quota-burst N]\n              \
-     [--client simple|cartesian] [--min-np N] [--timeout-ms T] [--retries R] [--par N]\n  \
+     [--client simple|cartesian] [--min-np N] [--timeout-ms T] [--retries R]\n  \
      mpl client  (--socket PATH | --tcp ADDR) [--op analyze|stats|ping|shutdown]\n              \
      [--mode drain|abort] [--file F] [--name N] [--client C] [--client-id ID]\n              \
-     [--min-np N] [--timeout-ms T] [--retries R] [--par N]\n  \
+     [--min-np N] [--timeout-ms T] [--retries R]\n  \
      mpl run     <file> --np N [--seed S] [--rendezvous] [--set var=val]...\n  \
      mpl check   <file>\n  \
      mpl dot     <file>\n  \
@@ -198,16 +196,6 @@ pub(crate) fn parse_client(flags: &Flags) -> Result<Client, String> {
     }
 }
 
-/// Parses `--order fifo|priority`; `None` means "builder default".
-fn parse_order(flags: &Flags) -> Result<Option<ScheduleOrder>, String> {
-    match flags.value("--order") {
-        None => Ok(None),
-        Some("fifo") => Ok(Some(ScheduleOrder::Fifo)),
-        Some("priority") => Ok(Some(ScheduleOrder::Priority)),
-        Some(other) => Err(format!("invalid value `{other}` for `--order`")),
-    }
-}
-
 fn cmd_analyze(
     program: &mpl_lang::ast::Program,
     cfg: &Cfg,
@@ -215,16 +203,11 @@ fn cmd_analyze(
 ) -> Result<CmdOutput, Box<dyn Error>> {
     let flags = Flags::parse(
         args,
-        &["--client", "--min-np", "--par", "--order"],
+        &["--client", "--min-np"],
         &["--trace", "--stats", "--json"],
     )?;
     let client = parse_client(&flags)?;
     let min_np = flags.parse_value("--min-np", AnalysisConfig::default().min_np)?;
-    let par: usize = flags.parse_value("--par", 1)?;
-    if par == 0 {
-        return Err("invalid value `0` for `--par`".into());
-    }
-    let order = parse_order(&flags)?;
     let trace = flags.switch("--trace");
     let stats = flags.switch("--stats");
     let json = flags.switch("--json");
@@ -235,15 +218,11 @@ fn cmd_analyze(
     // `--stats` re-run the same validated configuration under an
     // observer stack (observers are out-of-band instrumentation, not
     // part of the request/response wire contract).
-    let mut builder = AnalysisRequest::builder()
+    let request = AnalysisRequest::builder()
         .program(program.clone())
         .client(client)
         .min_np(min_np)
-        .par(par);
-    if let Some(order) = order {
-        builder = builder.order(order);
-    }
-    let request = builder.build()?;
+        .build()?;
     if json {
         // The exact bytes the daemon serves (and caches) for this
         // program/config — the byte-identity contract of `mpl serve`.
@@ -333,7 +312,7 @@ fn cmd_analyze(
 }
 
 /// Runs a corpus — the built-in one, or every `.mpl` file under `--dir`
-/// — through [`BatchAnalyzer`].
+/// — through [`RequestBatch`].
 ///
 /// Output is deterministic for any `--jobs` value; only the `--timing`
 /// fields (wall times, panic worker ids) vary between runs, so
@@ -352,8 +331,6 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
             "--dir",
             "--timeout-ms",
             "--retries",
-            "--par",
-            "--order",
         ],
         &["--json", "--timing", "--keep-going"],
     )?;
@@ -363,11 +340,6 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
     }
     let client = parse_client(&flags)?;
     let min_np: i64 = flags.parse_value("--min-np", AnalysisConfig::default().min_np)?;
-    let par: usize = flags.parse_value("--par", 1)?;
-    if par == 0 {
-        return Err("invalid value `0` for `--par`".to_owned());
-    }
-    let order = parse_order(&flags)?;
     let timeout_ms: u64 = flags.parse_value("--timeout-ms", 0)?;
     let retries: u32 = flags.parse_value("--retries", 0)?;
     let keep_going = flags.switch("--keep-going");
@@ -379,19 +351,16 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
         batch = batch.timeout(Duration::from_millis(timeout_ms));
     }
     if let Some(dir) = flags.value("--dir") {
-        push_corpus_dir(&mut batch, dir, client, min_np, par, order)?;
+        push_corpus_dir(&mut batch, dir, client, min_np)?;
     } else {
         for prog in corpus::all() {
-            let mut builder = AnalysisRequest::builder()
+            let request = AnalysisRequest::builder()
                 .name(prog.name)
                 .program(prog.program)
                 .client(client)
                 .min_np(min_np.max(i64::try_from(prog.min_procs).unwrap_or(i64::MAX)))
-                .par(par);
-            if let Some(order) = order {
-                builder = builder.order(order);
-            }
-            let request = builder.build().map_err(|e| e.to_string())?;
+                .build()
+                .map_err(|e| e.to_string())?;
             batch.push(request);
         }
     }
@@ -416,8 +385,6 @@ fn push_corpus_dir(
     dir: &str,
     client: Client,
     min_np: i64,
-    par: usize,
-    order: Option<ScheduleOrder>,
 ) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read `{dir}`: {e}"))?;
     let mut paths: Vec<std::path::PathBuf> = entries
@@ -431,14 +398,11 @@ fn push_corpus_dir(
     }
     // Knob validation happens once, up front — a bad `--min-np` aborts
     // the run instead of failing every file individually.
-    let mut cb = AnalysisConfig::builder()
+    let defaults = AnalysisConfig::builder()
         .client(client)
         .min_np(min_np)
-        .intra_jobs(par);
-    if let Some(order) = order {
-        cb = cb.schedule_order(order);
-    }
-    let defaults = cb.build().map_err(|e| e.to_string())?;
+        .build()
+        .map_err(|e| e.to_string())?;
     for path in paths {
         let name = path.file_stem().map_or_else(
             || path.display().to_string(),

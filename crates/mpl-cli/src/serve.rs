@@ -149,14 +149,9 @@ fn transport_flags(flags: &Flags) -> Result<(Option<String>, Option<String>), St
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let client = parse_client(flags)?;
     let min_np: i64 = flags.parse_value("--min-np", AnalysisConfig::default().min_np)?;
-    let par: usize = flags.parse_value("--par", 1)?;
-    if par == 0 {
-        return Err("invalid value `0` for `--par`".to_owned());
-    }
     let defaults = AnalysisConfig::builder()
         .client(client)
         .min_np(min_np)
-        .intra_jobs(par)
         .build()
         .map_err(|e| e.to_string())?;
     let timeout_ms: u64 = flags.parse_value("--timeout-ms", 0)?;
@@ -209,7 +204,6 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
             "--min-np",
             "--timeout-ms",
             "--retries",
-            "--par",
         ],
         &[],
     )?;
@@ -493,7 +487,6 @@ pub(crate) fn cmd_client(args: &[String]) -> Result<CmdOutput, String> {
             "--max-steps",
             "--timeout-ms",
             "--retries",
-            "--par",
         ],
         &[],
     )?;
@@ -580,7 +573,6 @@ fn build_analyze_line(flags: &Flags) -> Result<String, String> {
         ("--max-steps", "max_steps"),
         ("--timeout-ms", "timeout_ms"),
         ("--retries", "retries"),
-        ("--par", "par"),
     ] {
         if let Some(raw) = flags.value(flag) {
             let n: i64 = raw

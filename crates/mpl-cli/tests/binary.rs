@@ -166,6 +166,33 @@ fn binary_rejects_unknown_flags_with_exit_2() {
         .output()
         .expect("spawn mpl");
     assert_eq!(out.status.code(), Some(2));
+
+    // The retired intra-analysis knobs are unknown flags like any other.
+    for retired in [["--par", "2"], ["--order", "priority"]] {
+        let (_, stderr, code) = run_mpl(&["analyze", retired[0], retired[1]], EXCHANGE);
+        assert_eq!(code, 2, "stderr: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{stderr}");
+    }
+}
+
+#[test]
+fn binary_rejects_deeply_nested_input_with_exit_2() {
+    // 20k nested parentheses and 20k nested `if`s used to overflow the
+    // stack (SIGABRT); they are parse errors now. `run_mpl` reports a
+    // signal death as -1, so exit 2 also proves no signal killed it.
+    let k = 20_000;
+    let parens = format!("x := {}1{};\n", "(".repeat(k), ")".repeat(k));
+    let ifs = format!(
+        "{}y := 1;\n{}",
+        "if x < 1 then\n".repeat(k),
+        "end\n".repeat(k)
+    );
+    for source in [parens, ifs] {
+        let (_, stderr, code) = run_mpl(&["analyze"], &source);
+        assert_eq!(code, 2, "stderr: {stderr}");
+        assert!(stderr.contains("parse error"), "{stderr}");
+        assert!(stderr.contains("nesting deeper than"), "{stderr}");
+    }
 }
 
 #[test]

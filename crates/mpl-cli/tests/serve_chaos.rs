@@ -1,6 +1,6 @@
 //! Chaos tests for `mpl serve`: `kill -9` mid-stream with restart
 //! recovery, torn journal tails, graceful drain under load, oversized
-//! request lines, and slow/half-open clients. Everything the daemon
+//! and deeply nested request lines, and slow/half-open clients. Everything the daemon
 //! must survive without corrupting state or wedging.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
@@ -331,6 +331,62 @@ fn oversized_line_gets_structured_error_and_daemon_stays_up() {
         round_trip(&daemon.sock, &exact),
         "{\"v\":1,\"type\":\"pong\"}"
     );
+
+    shutdown_clean(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `x := ((…(1)…));` with `depth` nested parentheses.
+fn nested_parens(depth: usize) -> String {
+    format!("x := {}1{};\n", "(".repeat(depth), ")".repeat(depth))
+}
+
+/// `depth` nested `if` blocks around one assignment.
+fn nested_ifs(depth: usize) -> String {
+    format!(
+        "{}y := 1;\n{}",
+        "if x < 1 then\n".repeat(depth),
+        "end\n".repeat(depth)
+    )
+}
+
+#[test]
+fn nested_input_gets_structured_errors_and_daemon_stays_up() {
+    use mpl_lang::parser::MAX_NESTING;
+
+    let dir = scratch("nested");
+    let daemon = spawn_daemon(&dir, &[]);
+    let pong = |sock: &str| {
+        assert_eq!(
+            round_trip(sock, "{\"op\":\"ping\"}"),
+            "{\"v\":1,\"type\":\"pong\"}"
+        );
+    };
+
+    // A ~40 KB program nested 20k deep used to overflow the connection
+    // thread's stack and abort the whole daemon.
+    let deep = analyze_request(&nested_parens(20_000));
+    assert!(deep.len() > 40_000);
+    let reply = round_trip(&daemon.sock, &deep);
+    assert!(reply.contains("\"code\":\"parse-error\""), "{reply}");
+    pong(&daemon.sock);
+
+    // So did a request line of 300k `[`.
+    let reply = round_trip(&daemon.sock, &"[".repeat(300_000));
+    assert!(reply.contains("\"code\":\"bad-json\""), "{reply}");
+    pong(&daemon.sock);
+
+    // Programs exactly at the cap still analyze on a connection thread;
+    // one level more is a parse error.
+    for source in [nested_parens(MAX_NESTING), nested_ifs(MAX_NESTING)] {
+        let reply = round_trip(&daemon.sock, &analyze_request(&source));
+        assert!(reply.contains("\"verdict\":\"exact\""), "{reply}");
+    }
+    for source in [nested_parens(MAX_NESTING + 1), nested_ifs(MAX_NESTING + 1)] {
+        let reply = round_trip(&daemon.sock, &analyze_request(&source));
+        assert!(reply.contains("\"code\":\"parse-error\""), "{reply}");
+    }
+    pong(&daemon.sock);
 
     shutdown_clean(daemon);
     let _ = std::fs::remove_dir_all(&dir);

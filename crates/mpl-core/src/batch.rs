@@ -3,15 +3,16 @@
 //! *fault-tolerantly*: one bad job degrades that job's record, never the
 //! fleet.
 //!
-//! Each job is a `(program, config)` pair analyzed by [`engine::analyze`]
-//! on whichever worker picks it up. Jobs never interact — the engine is a
-//! pure function of its inputs apart from two pieces of thread-local
-//! state, both of which this module brings under control:
+//! [`RequestBatch`] is the one batch API: each job is an
+//! [`AnalysisRequest`] analyzed by [`crate::engine::analyze`] on whichever
+//! worker picks it up. Jobs never interact — the engine is a pure
+//! function of its inputs apart from two pieces of thread-local state,
+//! both of which this module brings under control:
 //!
 //! * the **variable interner** ([`mpl_domains::VarTable`]): name indices
 //!   (and hence packed `VarId`s) depend on the order names were first
 //!   interned on the thread, so a worker that has already analyzed other
-//!   programs carries their history. [`BatchAnalyzer::run`] resets the
+//!   programs carries their history. [`RequestBatch::run`] resets the
 //!   calling thread's table before every attempt of every job, so each
 //!   analysis starts from the identical fresh-table state no matter which
 //!   worker runs it (and retries stay deterministic);
@@ -29,15 +30,15 @@
 //!   [`mpl_runtime::Pool::run_ordered_isolated`]; a panicking job becomes
 //!   a [`JobOutcome::Panicked`] record (payload text plus the worker id in
 //!   [`JobRecord::panic_worker`]) while the rest of the batch completes;
-//! * **cooperative deadlines** — a fleet-wide [`BatchAnalyzer::timeout`]
-//!   (overridable per job via [`BatchJob::timeout`]) hands each attempt a
-//!   fresh [`CancelToken`] with that deadline; the engine polls it in its
-//!   worklist loop and gives up with a sound ⊤
+//! * **cooperative deadlines** — a fleet-wide [`RequestBatch::timeout`]
+//!   (overridable per request via [`AnalysisRequest::timeout`]) hands
+//!   each attempt a fresh [`CancelToken`] with that deadline; the engine
+//!   polls it in its worklist loop and gives up with a sound ⊤
 //!   ([`TopReason::Deadline`]). Because any partial progress at expiry is
 //!   wall-clock-dependent, a [`JobOutcome::TimedOut`] record carries the
 //!   *normalized* bare ⊤ ([`AnalysisResult::top`]) — zero matches, zero
 //!   steps — so timed-out records are byte-identical for any worker count;
-//! * **retry with degradation** — with [`BatchAnalyzer::retries`]` > 0`,
+//! * **retry with degradation** — with [`RequestBatch::retries`]` > 0`,
 //!   a job that ⊤s on a resource budget ([`TopReason::StepBudget`] /
 //!   [`TopReason::PsetBudget`]) or times out is re-run under an
 //!   escalating coarsening ladder (earlier widening, fewer thresholds,
@@ -46,7 +47,7 @@
 //!   attempt-1 result (under the *requested* config) is reported.
 //!
 //! Results are collected by *submission index*, not completion order
-//! (see [`mpl_runtime::Pool`]), so [`BatchReport::records`] is
+//! (see [`mpl_runtime::Pool`]), so [`BatchResponse::responses`] is
 //! byte-identical for any worker count. Only [`JobRecord::wall_nanos`],
 //! [`BatchSummary::wall_nanos`] and [`JobRecord::panic_worker`] vary
 //! between runs; callers that need reproducible output (golden tests,
@@ -56,15 +57,17 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use mpl_domains::ClosureStats;
-use mpl_lang::ast::Program;
 use mpl_runtime::CancelToken;
 
+use crate::client::Client;
 use crate::config::AnalysisConfig;
 use crate::engine::analyze;
+use crate::request::{AnalysisRequest, AnalysisResponse};
 use crate::result::{AnalysisResult, TopReason, Verdict};
 
 /// A deterministic fault injected into a batch job — the test hook for
-/// the fault-tolerance machinery. Injected via [`BatchJob::with_fault`]
+/// the fault-tolerance machinery. Injected via
+/// [`crate::AnalysisRequestBuilder::fault`]
 /// or the magic corpus directive `// mpl:fault=<kind>` on its own line of
 /// an `.mpl` source file (see [`Fault::from_directive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,51 +104,6 @@ impl Fault {
     }
 }
 
-/// One unit of batch work: a named program plus the configuration to
-/// analyze it under, with optional per-job deadline and fault injection.
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Display name (typically the corpus program name).
-    pub name: String,
-    /// The program to analyze.
-    pub program: Program,
-    /// Engine configuration for this job.
-    pub config: AnalysisConfig,
-    /// Per-job deadline, overriding the fleet-wide
-    /// [`BatchAnalyzer::timeout`] when set.
-    pub timeout: Option<Duration>,
-    /// Deterministic fault injection (tests and smoke runs only).
-    pub fault: Option<Fault>,
-}
-
-impl BatchJob {
-    /// Creates a job with no per-job deadline and no injected fault.
-    #[must_use]
-    pub fn new(name: impl Into<String>, program: Program, config: AnalysisConfig) -> BatchJob {
-        BatchJob {
-            name: name.into(),
-            program,
-            config,
-            timeout: None,
-            fault: None,
-        }
-    }
-
-    /// Sets a per-job deadline (overrides the fleet-wide timeout).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> BatchJob {
-        self.timeout = Some(timeout);
-        self
-    }
-
-    /// Injects a deterministic fault into this job.
-    #[must_use]
-    pub fn with_fault(mut self, fault: Fault) -> BatchJob {
-        self.fault = Some(fault);
-        self
-    }
-}
-
 /// How one batch job ended, as a typed taxonomy mirroring
 /// [`TopReason`]'s style: [`Self::code`] is the stable kebab-case tag
 /// machine output uses.
@@ -171,7 +129,7 @@ pub enum JobOutcome {
         message: String,
     },
     /// The job could not even be constructed (e.g. its source failed to
-    /// parse); queued via [`BatchAnalyzer::push_error`].
+    /// parse); queued via [`RequestBatch::push_error`].
     Error {
         /// Why the job never ran.
         message: String,
@@ -312,54 +270,64 @@ impl BatchSummary {
     }
 }
 
-/// A completed batch: per-job records in submission order plus the
-/// aggregated summary.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One record per job, in the order the jobs were added.
-    pub records: Vec<JobRecord>,
-    /// Aggregated statistics.
-    pub summary: BatchSummary,
-    /// Number of workers the batch ran with.
-    pub workers: usize,
-}
-
-/// A queued unit: either a runnable job or a pre-failed record (e.g. a
-/// corpus file that did not parse) that flows through in order.
-#[derive(Debug, Clone)]
+/// A queued unit: either a runnable request or a pre-failed record (e.g.
+/// a corpus file that did not parse) that flows through in order.
+#[derive(Debug)]
 enum JobInput {
-    Job(Box<BatchJob>),
-    Error { name: String, message: String },
+    Request(Box<AnalysisRequest>),
+    Error {
+        name: String,
+        message: String,
+        client: Client,
+    },
 }
 
-/// Builder/runner for a parallel batch of analysis jobs.
+/// A batch of [`AnalysisRequest`]s run across a worker pool, one
+/// [`AnalysisResponse`] per request in submission order.
+///
+/// Deadlines and retries are fleet-level here ([`Self::timeout`] /
+/// [`Self::retries`]); a request's own `timeout` still overrides the
+/// fleet deadline per job, but per-request `retries` are ignored in batch
+/// mode (the fleet ladder applies uniformly so the report stays
+/// deterministic).
 ///
 /// ```
-/// use mpl_core::{AnalysisConfig, BatchAnalyzer, BatchJob};
+/// use mpl_core::{AnalysisRequest, RequestBatch};
 /// use mpl_lang::corpus;
 ///
-/// let mut batch = BatchAnalyzer::new().workers(4);
+/// let mut batch = RequestBatch::new().workers(4);
 /// for prog in corpus::all() {
-///     batch.push(BatchJob::new(prog.name, prog.program, AnalysisConfig::default()));
+///     let request = AnalysisRequest::builder()
+///         .name(prog.name)
+///         .program(prog.program)
+///         .build()
+///         .expect("valid request");
+///     batch.push(request);
 /// }
-/// let report = batch.run();
-/// assert_eq!(report.summary.programs, corpus::all().len());
-/// assert_eq!(report.summary.completed, corpus::all().len());
+/// let done = batch.run();
+/// assert_eq!(done.summary.programs, corpus::all().len());
+/// assert_eq!(done.summary.completed, corpus::all().len());
 /// ```
-#[derive(Debug, Default)]
-pub struct BatchAnalyzer {
+#[derive(Debug)]
+pub struct RequestBatch {
     jobs: Vec<JobInput>,
     workers: usize,
     timeout: Option<Duration>,
     retries: u32,
 }
 
-impl BatchAnalyzer {
-    /// Creates an empty batch that will run inline (one worker), with no
+impl Default for RequestBatch {
+    fn default() -> RequestBatch {
+        RequestBatch::new()
+    }
+}
+
+impl RequestBatch {
+    /// An empty batch that will run inline (one worker), with no
     /// deadline and no retries.
     #[must_use]
-    pub fn new() -> BatchAnalyzer {
-        BatchAnalyzer {
+    pub fn new() -> RequestBatch {
+        RequestBatch {
             jobs: Vec::new(),
             workers: 1,
             timeout: None,
@@ -369,16 +337,16 @@ impl BatchAnalyzer {
 
     /// Sets the worker count (clamped to at least 1).
     #[must_use]
-    pub fn workers(mut self, workers: usize) -> BatchAnalyzer {
+    pub fn workers(mut self, workers: usize) -> RequestBatch {
         self.workers = workers.max(1);
         self
     }
 
     /// Sets the fleet-wide per-job deadline. Each attempt of each job
-    /// gets a fresh [`CancelToken`] with this deadline; jobs may override
-    /// it via [`BatchJob::timeout`].
+    /// gets a fresh [`CancelToken`] with this deadline; a request's own
+    /// [`AnalysisRequest::timeout`] overrides it.
     #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> BatchAnalyzer {
+    pub fn timeout(mut self, timeout: Duration) -> RequestBatch {
         self.timeout = Some(timeout);
         self
     }
@@ -386,93 +354,99 @@ impl BatchAnalyzer {
     /// Sets how many degraded retries a budget-⊤ or timed-out job gets
     /// (0, the default, disables the ladder).
     #[must_use]
-    pub fn retries(mut self, retries: u32) -> BatchAnalyzer {
+    pub fn retries(mut self, retries: u32) -> RequestBatch {
         self.retries = retries;
         self
     }
 
-    /// Appends a job. Jobs run (logically) in insertion order and their
-    /// records appear in the same order in the report.
-    pub fn push(&mut self, job: BatchJob) {
-        self.jobs.push(JobInput::Job(Box::new(job)));
+    /// Appends a request. Requests run (logically) in insertion order
+    /// and their responses appear in the same order.
+    pub fn push(&mut self, request: AnalysisRequest) {
+        self.jobs.push(JobInput::Request(Box::new(request)));
     }
 
-    /// Appends a pre-failed record — a job that could not be constructed
-    /// (typically a corpus file that failed to parse). It occupies its
-    /// submission-order slot as a [`JobOutcome::Error`] record instead of
-    /// aborting the batch.
-    pub fn push_error(&mut self, name: impl Into<String>, message: impl Into<String>) {
+    /// Appends a pre-failed record — a request that could not even be
+    /// built (unparseable source, bad knobs). It occupies its submission
+    /// slot as a [`JobOutcome::Error`] response rendered under `client`
+    /// instead of aborting the batch.
+    pub fn push_error(
+        &mut self,
+        name: impl Into<String>,
+        message: impl Into<String>,
+        client: Client,
+    ) {
         self.jobs.push(JobInput::Error {
             name: name.into(),
             message: message.into(),
+            client,
         });
     }
 
-    /// Appends a job, builder style.
-    #[must_use]
-    pub fn job(mut self, job: BatchJob) -> BatchAnalyzer {
-        self.push(job);
-        self
-    }
-
-    /// Number of queued jobs (including pre-failed records).
+    /// Number of queued requests (including pre-failed records).
     #[must_use]
     pub fn len(&self) -> usize {
         self.jobs.len()
     }
 
-    /// True if no jobs are queued.
+    /// True if no requests are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
 
-    /// Runs every job across the worker pool and merges the results.
+    /// Runs every request across the worker pool and merges the results.
     ///
     /// Deterministic: apart from the wall-time and worker-id fields, the
-    /// report is identical for any worker count. No panic escapes this
+    /// response is identical for any worker count. No panic escapes this
     /// call — a panicking job becomes its own [`JobOutcome::Panicked`]
     /// record.
     #[must_use]
-    pub fn run(self) -> BatchReport {
+    pub fn run(self) -> BatchResponse {
         let workers = self.workers;
         let fleet_timeout = self.timeout;
         let retries = self.retries;
-        let total = self.jobs.len();
 
-        // Pre-failed records keep their submission slots; runnable jobs
-        // go to the pool tagged with their original index.
-        let mut slots: Vec<Option<JobRecord>> = (0..total).map(|_| None).collect();
-        let mut runnable: Vec<(usize, BatchJob)> = Vec::new();
+        // Pre-failed records keep their submission slots; runnable
+        // requests go to the pool tagged with their original index.
+        // Names and clients survive outside the pool so a panicked job
+        // (whose closure state is lost) can still be named and rendered.
+        let mut slots: Vec<Option<JobRecord>> = Vec::with_capacity(self.jobs.len());
+        let mut clients = Vec::with_capacity(self.jobs.len());
+        let mut names = Vec::new();
+        let mut runnable = Vec::new();
         for (index, input) in self.jobs.into_iter().enumerate() {
             match input {
-                JobInput::Job(job) => runnable.push((index, *job)),
-                JobInput::Error { name, message } => {
-                    slots[index] = Some(JobRecord {
+                JobInput::Request(request) => {
+                    clients.push(request.config.client);
+                    names.push((index, request.name.clone().unwrap_or_default()));
+                    runnable.push((index, request));
+                    slots.push(None);
+                }
+                JobInput::Error {
+                    name,
+                    message,
+                    client,
+                } => {
+                    clients.push(client);
+                    slots.push(Some(JobRecord {
                         name,
                         outcome: JobOutcome::Error { message },
                         result: None,
                         wall_nanos: 0,
                         panic_worker: None,
-                    });
+                    }));
                 }
             }
         }
-        // Names survive outside the pool so a panicked job (whose
-        // closure state is lost) can still be named in its record.
-        let names: Vec<(usize, String)> = runnable
-            .iter()
-            .map(|(index, job)| (*index, job.name.clone()))
-            .collect();
 
         let pool = mpl_runtime::Pool::new(workers);
-        let (results, _stats) = pool.run_ordered_isolated(runnable, |_, (index, job)| {
+        let (results, _stats) = pool.run_ordered_isolated(runnable, |_, (index, request)| {
             let start = Instant::now();
-            let (outcome, result) = run_job(&job, fleet_timeout, retries);
+            let (outcome, result) = run_job(&request, fleet_timeout, retries);
             (
                 index,
                 JobRecord {
-                    name: job.name,
+                    name: request.name.unwrap_or_default(),
                     outcome,
                     result,
                     wall_nanos: start.elapsed().as_nanos() as u64,
@@ -498,20 +472,34 @@ impl BatchAnalyzer {
             }
         }
 
-        let records: Vec<JobRecord> = slots
-            .into_iter()
-            .map(|slot| slot.expect("every job slot filled exactly once"))
-            .collect();
         let mut summary = BatchSummary::default();
-        for record in &records {
-            summary.absorb(record);
-        }
-        BatchReport {
-            records,
+        let responses = slots
+            .into_iter()
+            .zip(clients)
+            .map(|(slot, client)| {
+                let record = slot.expect("every job slot filled exactly once");
+                summary.absorb(&record);
+                AnalysisResponse::from_record(record, client)
+            })
+            .collect();
+        BatchResponse {
+            responses,
             summary,
             workers,
         }
     }
+}
+
+/// A completed [`RequestBatch`].
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct BatchResponse {
+    /// One response per request, in submission order.
+    pub responses: Vec<AnalysisResponse>,
+    /// Aggregated statistics.
+    pub summary: BatchSummary,
+    /// Number of workers the batch ran with.
+    pub workers: usize,
 }
 
 /// The degradation ladder: attempt 1 is the requested configuration;
@@ -555,16 +543,19 @@ fn classify(result: &AnalysisResult) -> AttemptClass {
     }
 }
 
-/// Runs one job through the attempt ladder. Panics (including injected
+/// Runs one request through the attempt ladder: its own timeout (else
+/// `fleet_timeout`) bounds each attempt, and `retries` degraded retries
+/// follow a budget-⊤ or deadline. Panics (including injected
 /// [`Fault::Panic`]) unwind out of here and are caught by the pool's
 /// isolation layer — or, for single-request execution, by the
-/// `catch_unwind` in [`crate::request::AnalysisRequest::execute`].
+/// `catch_unwind` in [`AnalysisRequest::execute`].
 pub(crate) fn run_job(
-    job: &BatchJob,
+    request: &AnalysisRequest,
     fleet_timeout: Option<Duration>,
     retries: u32,
 ) -> (JobOutcome, Option<AnalysisResult>) {
-    let timeout = job.timeout.or(fleet_timeout);
+    let name = request.name.as_deref().unwrap_or_default();
+    let timeout = request.timeout.or(fleet_timeout);
     let max_attempts = retries.saturating_add(1);
     // The attempt-1 budget-⊤ result, kept so exhausted retries still
     // report the answer produced under the *requested* configuration.
@@ -574,18 +565,15 @@ pub(crate) fn run_job(
         // on prior attempts or on which jobs this worker ran before.
         mpl_domains::reset_table();
         let token = timeout.map(CancelToken::with_deadline);
-        let result = match job.fault {
+        let result = match request.fault {
             Some(Fault::Panic) => {
-                panic!("injected fault: job `{}` panics by directive", job.name)
+                panic!("injected fault: job `{name}` panics by directive")
             }
             Some(Fault::Spin) => {
                 let Some(token) = &token else {
                     // Spinning with no deadline would hang the worker
                     // forever; fail deterministically instead.
-                    panic!(
-                        "injected fault: job `{}` spins but no timeout is configured",
-                        job.name
-                    );
+                    panic!("injected fault: job `{name}` spins but no timeout is configured");
                 };
                 // Sleep-poll rather than busy-wait: the fault models a
                 // job that never finishes, and must not starve the
@@ -597,9 +585,9 @@ pub(crate) fn run_job(
             }
             Some(Fault::TopOnce) if attempt == 1 => AnalysisResult::top(TopReason::StepBudget),
             _ => {
-                let mut config = degrade(&job.config, attempt);
+                let mut config = degrade(&request.config, attempt);
                 config.cancel = token;
-                analyze(&job.program, &config)
+                analyze(&request.program, &config)
             }
         };
         match classify(&result) {
@@ -646,29 +634,39 @@ pub(crate) fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpl_lang::ast::Program;
     use mpl_lang::corpus;
 
-    fn corpus_batch(workers: usize) -> BatchReport {
-        let mut batch = BatchAnalyzer::new().workers(workers);
+    /// A default-config request for `program`, optionally faulted.
+    fn request(name: &str, program: Program, fault: Option<Fault>) -> AnalysisRequest {
+        let mut builder = AnalysisRequest::builder().name(name).program(program);
+        if let Some(fault) = fault {
+            builder = builder.fault(fault);
+        }
+        builder.build().expect("valid request")
+    }
+
+    fn corpus_batch(workers: usize) -> BatchResponse {
+        let mut batch = RequestBatch::new().workers(workers);
         for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
+            batch.push(request(prog.name, prog.program, None));
         }
         batch.run()
     }
 
+    fn name(r: &AnalysisResponse) -> &str {
+        r.name.as_deref().unwrap_or_default()
+    }
+
     /// Strips the non-deterministic fields for comparison.
-    fn fingerprint(report: &BatchReport) -> Vec<String> {
+    fn fingerprint(report: &BatchResponse) -> Vec<String> {
         report
-            .records
+            .responses
             .iter()
             .map(|r| match &r.result {
                 Some(res) => format!(
                     "{} [{}] {:?} matches={:?} leaks={:?} steps={} closure=({},{},{},{})",
-                    r.name,
+                    name(r),
                     r.outcome.code(),
                     res.verdict,
                     res.matches,
@@ -679,7 +677,7 @@ mod tests {
                     res.closure_stats.incremental_closures,
                     res.closure_stats.incremental_closure_vars,
                 ),
-                None => format!("{} [{}] {:?}", r.name, r.outcome.code(), r.outcome),
+                None => format!("{} [{}] {:?}", name(r), r.outcome.code(), r.outcome),
             })
             .collect()
     }
@@ -687,7 +685,7 @@ mod tests {
     #[test]
     fn records_preserve_submission_order() {
         let report = corpus_batch(4);
-        let names: Vec<&str> = report.records.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = report.responses.iter().map(name).collect();
         let expected: Vec<&str> = corpus::all().iter().map(|p| p.name).collect();
         assert_eq!(names, expected);
     }
@@ -709,59 +707,36 @@ mod tests {
         assert_eq!(s.programs, s.exact + s.deadlock + s.top);
         assert_eq!(s.programs, s.completed, "fault-free corpus completes");
         assert_eq!(s.failures(), 0);
+        let results = || report.responses.iter().filter_map(|r| r.result.as_ref());
         assert_eq!(
             s.matches,
-            report
-                .records
-                .iter()
-                .filter_map(|r| r.result.as_ref())
-                .map(|res| res.matches.len())
-                .sum::<usize>()
+            results().map(|res| res.matches.len()).sum::<usize>()
         );
-        assert_eq!(
-            s.steps,
-            report
-                .records
-                .iter()
-                .filter_map(|r| r.result.as_ref())
-                .map(|res| res.steps)
-                .sum::<u64>()
-        );
+        assert_eq!(s.steps, results().map(|res| res.steps).sum::<u64>());
         assert!(s.exact > 0, "corpus should contain exact programs");
         assert!(s.closure.full_closures > 0 || s.closure.incremental_closures > 0);
     }
 
     #[test]
     fn empty_batch_yields_empty_report() {
-        let report = BatchAnalyzer::new().workers(8).run();
-        assert!(report.records.is_empty());
+        let report = RequestBatch::new().workers(8).run();
+        assert!(report.responses.is_empty());
         assert_eq!(report.summary, BatchSummary::default());
         assert_eq!(report.workers, 8);
     }
 
     #[test]
     fn panicking_job_is_isolated_and_named() {
+        let good = corpus::fig2_exchange().program;
         for workers in [1usize, 4] {
-            let mut batch = BatchAnalyzer::new().workers(workers);
-            let good = corpus::fig2_exchange();
-            batch.push(BatchJob::new(
-                "before",
-                good.program.clone(),
-                AnalysisConfig::default(),
-            ));
-            batch.push(
-                BatchJob::new("poison", good.program.clone(), AnalysisConfig::default())
-                    .with_fault(Fault::Panic),
-            );
-            batch.push(BatchJob::new(
-                "after",
-                good.program.clone(),
-                AnalysisConfig::default(),
-            ));
+            let mut batch = RequestBatch::new().workers(workers);
+            batch.push(request("before", good.clone(), None));
+            batch.push(request("poison", good.clone(), Some(Fault::Panic)));
+            batch.push(request("after", good.clone(), None));
             let report = batch.run();
-            let names: Vec<&str> = report.records.iter().map(|r| r.name.as_str()).collect();
+            let names: Vec<&str> = report.responses.iter().map(name).collect();
             assert_eq!(names, ["before", "poison", "after"]);
-            let poison = &report.records[1];
+            let poison = &report.responses[1];
             assert!(matches!(poison.outcome, JobOutcome::Panicked { .. }));
             assert!(
                 poison.outcome.detail().unwrap().contains("injected fault"),
@@ -769,8 +744,8 @@ mod tests {
                 poison.outcome
             );
             assert!(poison.result.is_none());
-            assert!(report.records[0].outcome.is_ok());
-            assert!(report.records[2].outcome.is_ok());
+            assert!(report.responses[0].outcome.is_ok());
+            assert!(report.responses[2].outcome.is_ok());
             assert_eq!(report.summary.panicked, 1);
             assert_eq!(report.summary.completed, 2);
         }
@@ -779,21 +754,14 @@ mod tests {
     #[test]
     fn spinning_job_times_out_with_normalized_top() {
         let fingerprint_at = |workers: usize| {
-            let mut batch = BatchAnalyzer::new()
+            let mut batch = RequestBatch::new()
                 .workers(workers)
                 .timeout(Duration::from_millis(50));
-            let good = corpus::fig2_exchange();
-            batch.push(BatchJob::new(
-                "good",
-                good.program.clone(),
-                AnalysisConfig::default(),
-            ));
-            batch.push(
-                BatchJob::new("spinner", good.program.clone(), AnalysisConfig::default())
-                    .with_fault(Fault::Spin),
-            );
+            let good = corpus::fig2_exchange().program;
+            batch.push(request("good", good.clone(), None));
+            batch.push(request("spinner", good, Some(Fault::Spin)));
             let report = batch.run();
-            let spinner = &report.records[1];
+            let spinner = &report.responses[1];
             assert_eq!(spinner.outcome, JobOutcome::TimedOut);
             let result = spinner.result.as_ref().unwrap();
             assert!(matches!(
@@ -811,14 +779,11 @@ mod tests {
 
     #[test]
     fn spin_without_timeout_panics_deterministically() {
-        let good = corpus::fig2_exchange();
-        let mut batch = BatchAnalyzer::new();
-        batch.push(
-            BatchJob::new("spinner", good.program, AnalysisConfig::default())
-                .with_fault(Fault::Spin),
-        );
+        let good = corpus::fig2_exchange().program;
+        let mut batch = RequestBatch::new();
+        batch.push(request("spinner", good, Some(Fault::Spin)));
         let report = batch.run();
-        let rec = &report.records[0];
+        let rec = &report.responses[0];
         assert!(matches!(rec.outcome, JobOutcome::Panicked { .. }));
         assert!(rec
             .outcome
@@ -829,33 +794,27 @@ mod tests {
 
     #[test]
     fn top_once_fault_degrades_with_retry_and_completes_without() {
-        let good = corpus::fig2_exchange();
+        let good = corpus::fig2_exchange().program;
         // Without retries: the injected budget-⊤ is the final answer.
-        let mut batch = BatchAnalyzer::new();
-        batch.push(
-            BatchJob::new("flaky", good.program.clone(), AnalysisConfig::default())
-                .with_fault(Fault::TopOnce),
-        );
+        let mut batch = RequestBatch::new();
+        batch.push(request("flaky", good.clone(), Some(Fault::TopOnce)));
         let report = batch.run();
-        assert_eq!(report.records[0].outcome, JobOutcome::Completed);
+        assert_eq!(report.responses[0].outcome, JobOutcome::Completed);
         assert!(matches!(
-            report.records[0].result.as_ref().unwrap().verdict,
+            report.responses[0].result.as_ref().unwrap().verdict,
             Verdict::Top {
                 reason: TopReason::StepBudget
             }
         ));
         // With one retry: attempt 2 analyzes for real and recovers.
-        let mut batch = BatchAnalyzer::new().retries(1);
-        batch.push(
-            BatchJob::new("flaky", good.program.clone(), AnalysisConfig::default())
-                .with_fault(Fault::TopOnce),
-        );
+        let mut batch = RequestBatch::new().retries(1);
+        batch.push(request("flaky", good, Some(Fault::TopOnce)));
         let report = batch.run();
         assert_eq!(
-            report.records[0].outcome,
+            report.responses[0].outcome,
             JobOutcome::Degraded { attempts: 2 }
         );
-        let result = report.records[0].result.as_ref().unwrap();
+        let result = report.responses[0].result.as_ref().unwrap();
         assert!(result.is_exact(), "{:?}", result.verdict);
         assert_eq!(report.summary.degraded, 1);
     }
@@ -863,19 +822,12 @@ mod tests {
     #[test]
     fn retry_ladder_is_deterministic_across_worker_counts() {
         let build = |workers: usize| {
-            let mut batch = BatchAnalyzer::new().workers(workers).retries(2);
+            let mut batch = RequestBatch::new().workers(workers).retries(2);
             for prog in corpus::all() {
-                batch.push(BatchJob::new(
-                    prog.name,
-                    prog.program,
-                    AnalysisConfig::default(),
-                ));
+                batch.push(request(prog.name, prog.program, None));
             }
-            let flaky = corpus::fig2_exchange();
-            batch.push(
-                BatchJob::new("flaky", flaky.program, AnalysisConfig::default())
-                    .with_fault(Fault::TopOnce),
-            );
+            let flaky = corpus::fig2_exchange().program;
+            batch.push(request("flaky", flaky, Some(Fault::TopOnce)));
             batch.run()
         };
         let seq = fingerprint(&build(1));
@@ -889,15 +841,16 @@ mod tests {
         // A pset-budget ⊤ that no coarsening fixes: the record must carry
         // the attempt-1 result (budget ⊤ under max_psets=1), outcome
         // Completed, not Degraded.
-        let prog = corpus::nearest_neighbor_shift();
-        let config = AnalysisConfig::builder()
+        let cramped = AnalysisRequest::builder()
+            .name("cramped")
+            .program(corpus::nearest_neighbor_shift().program)
             .max_psets(1)
             .build()
-            .expect("valid config");
-        let mut batch = BatchAnalyzer::new().retries(2);
-        batch.push(BatchJob::new("cramped", prog.program, config));
+            .expect("valid request");
+        let mut batch = RequestBatch::new().retries(2);
+        batch.push(cramped);
         let report = batch.run();
-        let rec = &report.records[0];
+        let rec = &report.responses[0];
         assert_eq!(rec.outcome, JobOutcome::Completed);
         assert!(matches!(
             rec.result.as_ref().unwrap().verdict,
@@ -909,28 +862,24 @@ mod tests {
 
     #[test]
     fn error_records_flow_through_in_order() {
-        let good = corpus::fig2_exchange();
-        let mut batch = BatchAnalyzer::new().workers(4);
-        batch.push(BatchJob::new(
-            "first",
-            good.program.clone(),
-            AnalysisConfig::default(),
-        ));
-        batch.push_error("broken", "parse error at line 3: expected expression");
-        batch.push(BatchJob::new(
-            "last",
-            good.program,
-            AnalysisConfig::default(),
-        ));
+        let good = corpus::fig2_exchange().program;
+        let mut batch = RequestBatch::new().workers(4);
+        batch.push(request("first", good.clone(), None));
+        batch.push_error(
+            "broken",
+            "parse error at line 3: expected expression",
+            Client::default(),
+        );
+        batch.push(request("last", good, None));
         assert_eq!(batch.len(), 3);
         let report = batch.run();
-        let names: Vec<&str> = report.records.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = report.responses.iter().map(name).collect();
         assert_eq!(names, ["first", "broken", "last"]);
         assert!(matches!(
-            report.records[1].outcome,
+            report.responses[1].outcome,
             JobOutcome::Error { .. }
         ));
-        assert!(report.records[1].result.is_none());
+        assert!(report.responses[1].result.is_none());
         assert_eq!(report.summary.errors, 1);
         assert_eq!(report.summary.programs, 3);
         assert_eq!(report.summary.failures(), 1);

@@ -53,33 +53,6 @@ pub struct AnalysisConfig {
     /// `None` (the default) means the run is bounded only by the step
     /// budget.
     pub cancel: Option<CancelToken>,
-    /// Intra-request parallelism: how many worker threads the round
-    /// executor may use for one analysis (the CLI `--par` knob). `1`
-    /// (the default) runs the classic sequential loop; any value yields
-    /// byte-identical results — parallelism only changes wall-clock.
-    pub intra_jobs: usize,
-    /// Worklist ordering policy for each frontier round (see
-    /// [`ScheduleOrder`]). The default FIFO order is what the golden
-    /// corpus pins.
-    pub order: ScheduleOrder,
-    /// Test-only fault hook: panic when the engine counts this worklist
-    /// step. Exercises the round executor's panic isolation without
-    /// patching engine internals. `None` (the default) disables it.
-    pub panic_at_step: Option<u64>,
-}
-
-/// Order in which a drained frontier round is explored.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ScheduleOrder {
-    /// Queue order — the deterministic order the golden corpus pins.
-    #[default]
-    Fifo,
-    /// Reverse postorder over the CFG's SCC condensation
-    /// ([`mpl_cfg::SccRanks`]): states whose process sets sit at earlier
-    /// condensation units are explored first, so facts flow forward
-    /// before loops are re-entered. A round-local stable sort, hence
-    /// identical for every `intra_jobs` value.
-    Priority,
 }
 
 impl Default for AnalysisConfig {
@@ -94,9 +67,6 @@ impl Default for AnalysisConfig {
             widen_thresholds: mpl_domains::DEFAULT_WIDEN_THRESHOLDS.to_vec(),
             trace: false,
             cancel: None,
-            intra_jobs: 1,
-            order: ScheduleOrder::Fifo,
-            panic_at_step: None,
         }
     }
 }
@@ -130,8 +100,6 @@ pub enum ConfigError {
     /// The widening threshold ladder must be sorted ascending, or the
     /// snap-to-next-threshold relaxation would not terminate.
     UnsortedThresholds,
-    /// `intra_jobs` must be at least 1 — zero workers could run nothing.
-    ZeroIntraJobs,
 }
 
 impl fmt::Display for ConfigError {
@@ -145,7 +113,6 @@ impl fmt::Display for ConfigError {
             ConfigError::UnsortedThresholds => {
                 f.write_str("widen_thresholds must be sorted ascending")
             }
-            ConfigError::ZeroIntraJobs => f.write_str("intra_jobs must be >= 1"),
         }
     }
 }
@@ -244,29 +211,6 @@ impl AnalysisConfigBuilder {
         self
     }
 
-    /// Sets the intra-request worker count for the round executor (the
-    /// CLI `--par` knob). Results are byte-identical for any value.
-    #[must_use]
-    pub fn intra_jobs(mut self, jobs: usize) -> Self {
-        self.config.intra_jobs = jobs;
-        self
-    }
-
-    /// Sets the frontier exploration order (FIFO or SCC reverse
-    /// postorder priority).
-    #[must_use]
-    pub fn schedule_order(mut self, order: ScheduleOrder) -> Self {
-        self.config.order = order;
-        self
-    }
-
-    /// Arms the test-only panic fault at the given worklist step.
-    #[must_use]
-    pub fn panic_at_step(mut self, step: u64) -> Self {
-        self.config.panic_at_step = Some(step);
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -286,9 +230,6 @@ impl AnalysisConfigBuilder {
         }
         if c.widen_thresholds.windows(2).any(|w| w[0] > w[1]) {
             return Err(ConfigError::UnsortedThresholds);
-        }
-        if c.intra_jobs == 0 {
-            return Err(ConfigError::ZeroIntraJobs);
         }
         Ok(c)
     }

@@ -14,23 +14,6 @@
 //! * [`AnalysisObserver`] (see [`crate::observer`]) — instrumentation
 //!   hooks, generic so the default no-op observer compiles away.
 //!
-//! # Two-tier execution
-//!
-//! Since the frontier-parallel refactor the worklist runs in *rounds*:
-//! each round drains the entire ready frontier from the
-//! [`crate::scheduler`] (tier 1, the frontier extractor), steps every
-//! drained state, and merges the results back — counting steps, firing
-//! observer hooks, normalizing successors and admitting them — strictly
-//! in extraction order (tier 2). Stepping itself is **pure**: a
-//! [`Stepper`] touches no engine accumulator and instead records its
-//! side effects (matches, prints, promotions, ⊤ causes, …) as an
-//! ordered [`TaskAction`] log that the merge replays. That purity is
-//! what lets `intra_jobs > 1` fan the stepping of one round across
-//! [`mpl_runtime::RoundExecutor`] workers — grouped by interned
-//! [`LocationKey`], results merged in submission order — while
-//! verdicts, step counts, traces and match events stay byte-identical
-//! to the sequential loop for any worker count.
-//!
 //! Worklist order, budgets and widening bookkeeping live in
 //! [`crate::scheduler`]. This module re-exports the configuration and
 //! result types that historically lived here, so existing
@@ -39,21 +22,20 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind, SccRanks};
-use mpl_domains::{ClosureStats, LinExpr, VarId};
+use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
+use mpl_domains::{LinExpr, VarId};
 use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
 use mpl_procset::{ProcRange, SubtractOutcome};
-use mpl_runtime::RoundExecutor;
 
 use crate::client::ClientDomain;
 use crate::matcher::{MatchOutcome, RecvSite, SendSite};
 use crate::norm::NormCtx;
 use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver, TraceObserver};
-use crate::scheduler::{LocationKey, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::state::{AnalysisState, PendingSend};
 
 pub use crate::client::Client;
-pub use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError, ScheduleOrder};
+pub use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
 pub use crate::result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 pub use crate::scheduler::CANCEL_CHECK_STEPS;
 
@@ -96,739 +78,6 @@ pub fn analyze_cfg_with<O: AnalysisObserver>(
     Engine::new(cfg, config.clone(), observer).run()
 }
 
-/// The message of the test-only injected fault
-/// ([`AnalysisConfig::panic_at_step`]). Inline and parallel runs panic
-/// with the identical payload, so the structured failure surfaced by
-/// the request layer is byte-identical across `--par` values.
-fn fault_message(step: u64) -> String {
-    format!("injected engine fault at step {step}")
-}
-
-/// The immutable context one frontier step reads — everything the pure
-/// [`Stepper`] needs, shareable across round-executor worker threads
-/// ([`ClientDomain`] is `Sync`, the rest is plain borrowed data).
-#[derive(Clone, Copy)]
-struct StepCtx<'a> {
-    cfg: &'a Cfg,
-    norm: &'a NormCtx,
-    domain: &'static dyn ClientDomain,
-    assumes: &'a [Expr],
-    allow_pending_sends: bool,
-}
-
-/// One side effect recorded while stepping a frontier item, in the
-/// exact order the sequential engine would have performed it. The merge
-/// replays the log against the observer and the engine accumulators, so
-/// a speculative parallel step leaves no trace until (and unless) its
-/// item is actually merged.
-enum TaskAction {
-    /// A pending send was buffered on pset `idx` (`state` is the
-    /// pre-promotion state the observer hook documents).
-    Promote { idx: usize, state: AnalysisState },
-    /// The state forked on the undecidable comparison `a <=> b`.
-    Split { a: LinExpr, b: LinExpr },
-    /// A send–receive match was established.
-    Match { event: MatchEvent },
-    /// A matcher proposal could not be applied.
-    MatchRejected,
-    /// The analysis gave up with ⊤ (the last replayed reason wins).
-    Top { reason: TopReason },
-    /// A guaranteed deadlock was proven (the first replayed report
-    /// wins).
-    Deadlock { blocked: Vec<(CfgNodeId, String)> },
-    /// A `print` fact was evaluated; the merge folds it into the
-    /// per-(node, range) table under the conflicting-values-to-unknown
-    /// rule.
-    Print {
-        node: CfgNodeId,
-        range: String,
-        value: Option<i64>,
-    },
-}
-
-/// Everything stepping one frontier item produced.
-struct StepOutput {
-    successors: Vec<AnalysisState>,
-    actions: Vec<TaskAction>,
-    /// Closure-counter delta of this step (parallel rounds only): the
-    /// merge adds the deltas of *merged* items, so the reported
-    /// counters match a sequential run, which never steps the items a
-    /// budget stop discards.
-    closure: ClosureStats,
-}
-
-/// The pure tier-2 stepper: advances one state, recording side effects
-/// as a [`TaskAction`] log instead of touching the engine.
-struct Stepper<'a> {
-    ctx: StepCtx<'a>,
-    actions: Vec<TaskAction>,
-}
-
-impl<'a> Stepper<'a> {
-    fn new(ctx: StepCtx<'a>) -> Stepper<'a> {
-        Stepper {
-            ctx,
-            actions: Vec::new(),
-        }
-    }
-
-    /// Records a ⊤ cause (the last one replayed wins in the verdict).
-    fn give_up(&mut self, reason: TopReason) {
-        self.actions.push(TaskAction::Top { reason });
-    }
-
-    /// One engine step from `st`: returns successor states.
-    fn step(&mut self, st: AnalysisState) -> Vec<AnalysisState> {
-        self.step_inner(st, 0)
-    }
-
-    fn step_inner(&mut self, st: AnalysisState, depth: u32) -> Vec<AnalysisState> {
-        // 1. Advance an unblocked process set.
-        let unblocked = st.psets.iter().position(|p| {
-            !matches!(
-                self.ctx.cfg.node(p.node),
-                CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit
-            )
-        });
-        if let Some(idx) = unblocked {
-            return self.advance(st, idx);
-        }
-        // 2. All blocked: match sends to receives.
-        if let Some(next) = self.match_step(&st) {
-            return vec![next];
-        }
-        // 3. Fork the state on an undecidable match comparison (the §VI
-        //    split driven by partially-matched subsets).
-        if let Some(states) = self.ambiguity_split(&st, depth) {
-            return states;
-        }
-        // 4. Buffer a send (depth-1 aggregation).
-        if self.ctx.allow_pending_sends {
-            let promotable = st.psets.iter().position(|p| {
-                matches!(self.ctx.cfg.node(p.node), CfgNode::Send { .. }) && p.pending.is_none()
-            });
-            if let Some(idx) = promotable {
-                self.actions.push(TaskAction::Promote {
-                    idx,
-                    state: st.clone(),
-                });
-                let mut s = st;
-                let CfgNode::Send { value, dest } = self.ctx.cfg.node(s.psets[idx].node).clone()
-                else {
-                    unreachable!()
-                };
-                s.psets[idx].pending = Some(PendingSend {
-                    node: s.psets[idx].node,
-                    value,
-                    dest,
-                });
-                s.psets[idx].node = self.ctx.cfg.sole_succ(s.psets[idx].node);
-                return vec![s];
-            }
-        }
-        // 5. Stuck. Pending sends at exit are leaks; receives that can
-        //    never be satisfied are a deadlock; anything else is ⊤.
-        let any_comm_blocked = st.psets.iter().any(|p| {
-            matches!(
-                self.ctx.cfg.node(p.node),
-                CfgNode::Send { .. } | CfgNode::Recv { .. }
-            )
-        });
-        if !any_comm_blocked {
-            // Everyone is at exit but pendings remain: terminal (leaks
-            // recorded by finish_terminal).
-            return vec![st];
-        }
-        let has_send_capability = st.psets.iter().any(|p| {
-            p.pending.is_some() || matches!(self.ctx.cfg.node(p.node), CfgNode::Send { .. })
-        });
-        if !has_send_capability {
-            // Only receives outstanding and nothing can ever send:
-            // guaranteed deadlock (matching so far was exact).
-            let blocked = st
-                .psets
-                .iter()
-                .filter(|p| !matches!(self.ctx.cfg.node(p.node), CfgNode::Exit))
-                .map(|p| (p.node, p.range.to_string()))
-                .collect();
-            self.actions.push(TaskAction::Deadlock { blocked });
-            return Vec::new();
-        }
-        self.give_up(TopReason::MatchFailure {
-            state: st.to_string(),
-        });
-        Vec::new()
-    }
-
-    /// Advances the unblocked pset `idx` one CFG step.
-    fn advance(&mut self, mut st: AnalysisState, idx: usize) -> Vec<AnalysisState> {
-        let node = st.psets[idx].node;
-        match self.ctx.cfg.node(node).clone() {
-            CfgNode::Entry | CfgNode::Skip => {
-                st.psets[idx].node = self.ctx.cfg.sole_succ(node);
-                vec![st]
-            }
-            CfgNode::Assign { name, value } => {
-                self.ctx
-                    .domain
-                    .transfer_assign(self.ctx.norm, &mut st, idx, &name, &value);
-                st.psets[idx].node = self.ctx.cfg.sole_succ(node);
-                vec![st]
-            }
-            CfgNode::Print(e) => {
-                self.record_print(&mut st, idx, node, &e);
-                st.psets[idx].node = self.ctx.cfg.sole_succ(node);
-                vec![st]
-            }
-            CfgNode::Assume(e) => {
-                self.ctx
-                    .domain
-                    .transfer_assume(self.ctx.norm, &mut st, idx, &e);
-                st.psets[idx].node = self.ctx.cfg.sole_succ(node);
-                vec![st]
-            }
-            CfgNode::Branch { cond } => self.branch(st, idx, &cond),
-            CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit => {
-                unreachable!("blocked node reached advance")
-            }
-        }
-    }
-
-    /// Replaces variables provably equal to `id + k` by that expression,
-    /// so conditions like `x < np - 1` after `x := id` split correctly.
-    fn subst_id_aliases(
-        &self,
-        st: &mut AnalysisState,
-        pset: mpl_domains::PsetId,
-        expr: &Expr,
-    ) -> Expr {
-        match expr {
-            Expr::Var(name) if !self.ctx.norm.is_input(name) => {
-                let v = self.ctx.norm.var(pset, name);
-                match st.cg.eq_offset(v, VarId::id_of(pset)) {
-                    Some(0) => Expr::Id,
-                    Some(k) => Expr::binary(BinOp::Add, Expr::Id, Expr::Int(k)),
-                    None => expr.clone(),
-                }
-            }
-            Expr::Binary(op, l, r) => Expr::binary(
-                *op,
-                self.subst_id_aliases(st, pset, l),
-                self.subst_id_aliases(st, pset, r),
-            ),
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(self.subst_id_aliases(st, pset, e))),
-            _ => expr.clone(),
-        }
-    }
-
-    fn record_print(&mut self, st: &mut AnalysisState, idx: usize, node: CfgNodeId, e: &Expr) {
-        let pset = st.psets[idx].id;
-        let value = self.ctx.norm.eval_const(e, pset, &st.consts).or_else(|| {
-            self.ctx
-                .norm
-                .linearize(e, pset)
-                .and_then(|lin| st.cg.eval_expr(&lin))
-        });
-        self.actions.push(TaskAction::Print {
-            node,
-            range: st.psets[idx].range.to_string(),
-            value,
-        });
-    }
-
-    fn branch(&mut self, st: AnalysisState, idx: usize, cond: &Expr) -> Vec<AnalysisState> {
-        let t_succ = self
-            .ctx
-            .cfg
-            .succ_along(st.psets[idx].node, EdgeKind::True)
-            .expect("branch true edge");
-        let f_succ = self
-            .ctx
-            .cfg
-            .succ_along(st.psets[idx].node, EdgeKind::False)
-            .expect("branch false edge");
-
-        // Rewrite id-aliased variables so `x := id; if x < k` splits like
-        // an id-branch.
-        let cond = {
-            let mut probe = st.clone();
-            let pset = st.psets[idx].id;
-            self.subst_id_aliases(&mut probe, pset, cond)
-        };
-        let cond = &cond;
-
-        // (a) id-dependent branch. A provably-singleton set has a single
-        // `id` value, so the condition is uniform over the set and the
-        // decide/refine machinery below applies (its refinements
-        // constrain the set's `id` variable directly). Larger sets split.
-        let singleton = {
-            let mut probe = st.cg.clone();
-            st.psets[idx].range.is_singleton(&mut probe)
-        };
-        if cond.mentions_id() && !singleton {
-            let mut s = st.clone();
-            if let Some((t_parts, f_parts)) =
-                self.ctx
-                    .domain
-                    .split_on_id(self.ctx.norm, &mut s, idx, cond)
-            {
-                let mut parts: Vec<(ProcRange, CfgNodeId, bool)> = Vec::new();
-                for r in t_parts {
-                    parts.push((r, t_succ, true));
-                }
-                for r in f_parts {
-                    parts.push((r, f_succ, true));
-                }
-                s.split_pset(idx, parts);
-                return vec![s];
-            }
-            self.give_up(TopReason::SplitFailure {
-                cond: cond.to_string(),
-            });
-            return Vec::new();
-        }
-
-        // Soundness gate: a whole (non-singleton) set may take one branch
-        // edge only if the condition provably evaluates identically on
-        // every member.
-        let pset = st.psets[idx].id;
-        if !singleton
-            && !cond.mentions_id()
-            && !self
-                .ctx
-                .domain
-                .is_uniform_expr(self.ctx.norm, &st, pset, cond)
-        {
-            self.give_up(TopReason::NonUniformCondition {
-                cond: cond.to_string(),
-            });
-            return Vec::new();
-        }
-
-        // (b) uniform condition: decide if possible.
-        if let Some(truth) = self.decide(&st, pset, cond) {
-            let mut s = st;
-            let refs = self.ctx.norm.refinements(cond, pset, !truth);
-            if !self.refine_or_drop_empty(&mut s, &refs) {
-                return Vec::new();
-            }
-            if let Some(i) = s.index_of(pset) {
-                s.psets[i].node = if truth { t_succ } else { f_succ };
-            }
-            return vec![s];
-        }
-
-        // (c) undecided: explore both outcomes.
-        let mut out = Vec::new();
-        for (truth, succ) in [(true, t_succ), (false, f_succ)] {
-            let mut s = st.clone();
-            let refs = self.ctx.norm.refinements(cond, pset, !truth);
-            if !self.refine_or_drop_empty(&mut s, &refs) {
-                continue;
-            }
-            if let Some(i) = s.index_of(pset) {
-                s.psets[i].node = succ;
-                out.push(s);
-            }
-        }
-        out
-    }
-
-    /// Applies comparison refinements to the state. A refinement that
-    /// contradicts some *other* process set's `id` bounds proves that set
-    /// empty under this path (e.g. the Fig 5 loop-exit edge `i = np`
-    /// emptying the blocked receivers `[i..np-1]`): such sets are deleted
-    /// and the refinement retried. Returns `false` if the path is
-    /// genuinely infeasible (the branching set's own facts contradict).
-    fn refine_or_drop_empty(
-        &self,
-        st: &mut AnalysisState,
-        refs: &[(LinExpr, LinExpr, crate::norm::RelOp)],
-    ) -> bool {
-        loop {
-            let mut probe = st.cg.clone();
-            self.ctx.norm.apply_refinements(&mut probe, refs);
-            probe.close();
-            if !probe.is_bottom() {
-                st.cg = probe;
-                return true;
-            }
-            // Find a process set whose removal restores consistency.
-            let mut removed = false;
-            for i in 0..st.psets.len() {
-                let victim = st.psets[i].id;
-                let mut without = st.cg.clone();
-                without.drop_namespace(victim);
-                self.ctx.norm.apply_refinements(&mut without, refs);
-                without.close();
-                if !without.is_bottom() {
-                    // `victim` is provably empty under the refinement.
-                    let _ = victim;
-                    st.remove_pset(i);
-                    removed = true;
-                    break;
-                }
-            }
-            if !removed {
-                return false;
-            }
-        }
-    }
-
-    /// Decides a set-uniform condition when provable.
-    fn decide(&self, st: &AnalysisState, pset: mpl_domains::PsetId, cond: &Expr) -> Option<bool> {
-        if let Some(c) = self.ctx.norm.eval_const(cond, pset, &st.consts) {
-            return Some(c != 0);
-        }
-        // Single comparison decidable from the constraint graph.
-        let (op, l, r) = match cond {
-            Expr::Binary(op, l, r) if op.is_boolean() => (*op, l, r),
-            Expr::Unary(UnOp::Not, inner) => {
-                return self.decide(st, pset, inner).map(|b| !b);
-            }
-            _ => return None,
-        };
-        let mut cg = st.cg.clone();
-        let (le, re) = (
-            self.ctx
-                .norm
-                .linearize_resolved(l, pset, &st.consts, &mut cg)?,
-            self.ctx
-                .norm
-                .linearize_resolved(r, pset, &st.consts, &mut cg)?,
-        );
-        let cmp = cg.compare_exprs(&le, &re);
-        use std::cmp::Ordering::{Equal, Greater, Less};
-        match op {
-            BinOp::Eq => match cmp {
-                Some(Equal) => Some(true),
-                Some(Less | Greater) => Some(false),
-                None => None,
-            },
-            BinOp::Ne => match cmp {
-                Some(Equal) => Some(false),
-                Some(Less | Greater) => Some(true),
-                None => None,
-            },
-            BinOp::Le => {
-                if cg.proves_le(&le, &re) {
-                    Some(true)
-                } else if cg.proves_le(&re.plus(1), &le) {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            BinOp::Lt => {
-                if cg.proves_le(&le.plus(1), &re) {
-                    Some(true)
-                } else if cg.proves_le(&re, &le) {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            BinOp::Ge => {
-                if cg.proves_le(&re, &le) {
-                    Some(true)
-                } else if cg.proves_le(&le.plus(1), &re) {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            BinOp::Gt => {
-                if cg.proves_le(&re.plus(1), &le) {
-                    Some(true)
-                } else if cg.proves_le(&le, &re) {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Collects the send/receive operations available for matching.
-    fn comm_sites(&self, st: &AnalysisState) -> (Vec<SendSite>, Vec<RecvSite>) {
-        let mut sends: Vec<SendSite> = Vec::new();
-        let mut recvs: Vec<RecvSite> = Vec::new();
-        for (i, p) in st.psets.iter().enumerate() {
-            if let Some(pend) = &p.pending {
-                sends.push(SendSite {
-                    pset_idx: i,
-                    node: pend.node,
-                    value: pend.value.clone(),
-                    dest: pend.dest.clone(),
-                    pending: true,
-                });
-            }
-            match self.ctx.cfg.node(p.node) {
-                CfgNode::Send { value, dest } if p.pending.is_none() => {
-                    sends.push(SendSite {
-                        pset_idx: i,
-                        node: p.node,
-                        value: value.clone(),
-                        dest: dest.clone(),
-                        pending: false,
-                    });
-                }
-                CfgNode::Recv { var, src } => {
-                    recvs.push(RecvSite {
-                        pset_idx: i,
-                        node: p.node,
-                        src: src.clone(),
-                        var: var.clone(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        (sends, recvs)
-    }
-
-    /// Attempts one send–receive match; returns the successor state.
-    fn match_step(&mut self, st: &AnalysisState) -> Option<AnalysisState> {
-        let matcher = self.ctx.domain.matcher();
-        let (sends, recvs) = self.comm_sites(st);
-        for send in &sends {
-            for recv in &recvs {
-                let mut s = st.clone();
-                if let Some(outcome) =
-                    matcher.try_match(&mut s, send, recv, self.ctx.norm, self.ctx.assumes)
-                {
-                    match self.apply_match(s, send, recv, &outcome) {
-                        Some(next) => return Some(next),
-                        None => self.actions.push(TaskAction::MatchRejected),
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Forks the state on the first undecidable comparison blocking a
-    /// match, then advances each branch (the comparison is decided in
-    /// each, so the match proceeds one way or the other).
-    fn ambiguity_split(&mut self, st: &AnalysisState, depth: u32) -> Option<Vec<AnalysisState>> {
-        if depth > 8 {
-            self.give_up(TopReason::SplitDepthExceeded);
-            return Some(Vec::new());
-        }
-        let matcher = self.ctx.domain.matcher();
-        let (sends, recvs) = self.comm_sites(st);
-        for send in &sends {
-            for recv in &recvs {
-                let mut probe = st.clone();
-                let Some((a, b)) = matcher.split_hint(&mut probe, send, recv, self.ctx.norm) else {
-                    continue;
-                };
-                self.actions.push(TaskAction::Split { a, b });
-                let mut out = Vec::new();
-                let av = a.var.unwrap_or(VarId::ZERO);
-                let bv = b.var.unwrap_or(VarId::ZERO);
-                // Branch 1: a <= b.
-                let mut s1 = st.clone();
-                s1.cg.assert_le(av, bv, b.offset - a.offset);
-                s1.cg.close();
-                if !s1.cg.is_bottom() {
-                    out.extend(self.step_inner(s1, depth + 1));
-                }
-                // Branch 2: b <= a - 1.
-                let mut s2 = st.clone();
-                s2.cg.assert_le(bv, av, a.offset - b.offset - 1);
-                s2.cg.close();
-                if !s2.cg.is_bottom() {
-                    out.extend(self.step_inner(s2, depth + 1));
-                }
-                return Some(out);
-            }
-        }
-        None
-    }
-
-    /// Applies a successful match: splits/releases the participating
-    /// process sets, propagates the sent value, records the match.
-    fn apply_match(
-        &mut self,
-        mut st: AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        outcome: &MatchOutcome,
-    ) -> Option<AnalysisState> {
-        let recv_succ = self.ctx.cfg.sole_succ(recv.node);
-        st.matches.insert((send.node, recv.node));
-        // Capture the event now (the constants are provable in the
-        // pre-release state), but only *record* it once the match has
-        // actually been applied — a failed application must leave no
-        // trace in the reported topology.
-        let singleton_const = |st: &mut AnalysisState, r: &ProcRange| -> Option<i64> {
-            let mut cg = st.cg.clone();
-            if !r.is_singleton(&mut cg) {
-                return None;
-            }
-            r.lb.exprs().iter().find_map(|e| cg.eval_expr(e))
-        };
-        let event = MatchEvent {
-            send_node: send.node,
-            recv_node: recv.node,
-            s_procs: outcome.s_procs.to_string(),
-            r_procs: outcome.r_procs.to_string(),
-            kind: outcome.kind,
-            s_const: singleton_const(&mut st, &outcome.s_procs),
-            r_const: singleton_const(&mut st, &outcome.r_procs),
-        };
-
-        if send.pset_idx == recv.pset_idx {
-            // Self-exchange (transpose): only full-set matches supported.
-            let range = st.psets[send.pset_idx].range.clone();
-            if !outcome.s_procs.provably_eq(&mut st.cg, &range)
-                || !outcome.r_procs.provably_eq(&mut st.cg, &range)
-            {
-                return None;
-            }
-            if !send.pending {
-                return None; // A set cannot be at send and recv at once.
-            }
-            self.propagate_value(&mut st, send, recv, recv.pset_idx);
-            st.psets[recv.pset_idx].pending = None;
-            st.psets[recv.pset_idx].node = recv_succ;
-            self.actions.push(TaskAction::Match { event });
-            return Some(st);
-        }
-
-        // Receiver side first (indices shift when psets split).
-        let r_full = {
-            let range = st.psets[recv.pset_idx].range.clone();
-            outcome.r_procs.provably_eq(&mut st.cg, &range)
-        };
-        let mut receiver_new_idx = recv.pset_idx;
-        let assigned_ns;
-        if r_full {
-            assigned_ns = st.psets[recv.pset_idx].id;
-            self.propagate_value(&mut st, send, recv, recv.pset_idx);
-            st.psets[recv.pset_idx].node = recv_succ;
-        } else {
-            let range = st.psets[recv.pset_idx].range.clone();
-            let remainder = range.subtract(&mut st.cg, &outcome.r_procs)?;
-            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> =
-                vec![(outcome.r_procs.clone(), recv_succ, true)];
-            match remainder {
-                SubtractOutcome::Empty => {}
-                SubtractOutcome::One(r) => parts.push((r, recv.node, true)),
-                SubtractOutcome::Two(a, b) => {
-                    parts.push((a, recv.node, true));
-                    parts.push((b, recv.node, true));
-                }
-            }
-            let sender_id = st.psets[send.pset_idx].id;
-            st.split_pset(recv.pset_idx, parts);
-            // After split_pset the new psets are appended at the end; the
-            // matched part is the one at recv_succ (first pushed).
-            receiver_new_idx = st
-                .psets
-                .iter()
-                .position(|p| {
-                    p.node == recv_succ && p.range.lb.exprs() == outcome.r_procs.lb.exprs()
-                })
-                .unwrap_or(st.psets.len() - 1);
-            assigned_ns = st.psets[receiver_new_idx].id;
-            self.ctx.domain.propagate_received(
-                self.ctx.norm,
-                &mut st,
-                send,
-                recv,
-                sender_id,
-                receiver_new_idx,
-            );
-        }
-        let _ = receiver_new_idx;
-
-        // The receiver-side value propagation reassigned `recv.var`, so
-        // any alias mentioning it inside the matched ranges is stale and
-        // would corrupt bound comparisons (e.g. falsely proving the
-        // matched senders empty). Strip those aliases and re-saturate
-        // against the updated facts.
-        let stale = VarId::pset_var(assigned_ns, mpl_domains::intern_name(&recv.var));
-        let sanitize = |st: &mut AnalysisState, r: &ProcRange| -> ProcRange {
-            let keep = |b: &mpl_procset::Bound| {
-                mpl_procset::Bound::from_exprs(
-                    b.exprs()
-                        .iter()
-                        .filter(|e| e.var != Some(stale))
-                        .cloned()
-                        .collect(),
-                )
-            };
-            let mut out = ProcRange::new(keep(&r.lb), keep(&r.ub));
-            if out.is_vacant() {
-                return r.clone();
-            }
-            out.saturate(&mut st.cg);
-            out
-        };
-        let s_procs = sanitize(&mut st, &outcome.s_procs);
-
-        // Sender side.
-        let send_idx = st.psets.iter().position(|p| {
-            if send.pending {
-                p.pending.as_ref().is_some_and(|pd| pd.node == send.node)
-            } else {
-                p.node == send.node
-            }
-        })?;
-        let s_range = st.psets[send_idx].range.clone();
-        let s_full = s_procs.provably_eq(&mut st.cg, &s_range);
-        if s_full {
-            if send.pending {
-                st.psets[send_idx].pending = None;
-            } else {
-                st.psets[send_idx].node = self.ctx.cfg.sole_succ(send.node);
-            }
-        } else {
-            let remainder = s_range.subtract(&mut st.cg, &s_procs)?;
-            let released_node = if send.pending {
-                st.psets[send_idx].node
-            } else {
-                self.ctx.cfg.sole_succ(send.node)
-            };
-            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> = Vec::new();
-            // Matched part: pending cleared (if pending) or advanced.
-            parts.push((s_procs.clone(), released_node, false));
-            match remainder {
-                SubtractOutcome::Empty => {}
-                SubtractOutcome::One(r) => parts.push((r, st.psets[send_idx].node, true)),
-                SubtractOutcome::Two(a, b) => {
-                    parts.push((a, st.psets[send_idx].node, true));
-                    parts.push((b, st.psets[send_idx].node, true));
-                }
-            }
-            // For a non-pending sender the "keep pending" flag is
-            // irrelevant (no pending exists); for a pending sender the
-            // matched part released its pending while the rest keeps it.
-            st.split_pset(send_idx, parts);
-        }
-        self.actions.push(TaskAction::Match { event });
-        Some(st)
-    }
-
-    /// Propagates the sent value into the receiver's variable (Fig 2's
-    /// cross-process constant propagation).
-    fn propagate_value(
-        &mut self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        recv_idx: usize,
-    ) {
-        let sender_id = st.psets[send.pset_idx].id;
-        self.ctx
-            .domain
-            .propagate_received(self.ctx.norm, st, send, recv, sender_id, recv_idx);
-    }
-}
-
 struct Engine<'a, O: AnalysisObserver> {
     cfg: &'a Cfg,
     norm: NormCtx,
@@ -844,16 +93,6 @@ struct Engine<'a, O: AnalysisObserver> {
     leaks: BTreeSet<CfgNodeId>,
     deadlock: Option<Vec<(CfgNodeId, String)>>,
     top: Option<TopReason>,
-    /// Closure-counter deltas of merged parallel step tasks (zero under
-    /// the inline loop, whose step work accrues on this thread and is
-    /// already covered by the session delta).
-    worker_closure: ClosureStats,
-    /// Closure work the pool ran on *this* thread (small rounds fall
-    /// back to the caller). It lands in this thread's counters — and so
-    /// in the session delta — yet is also reported per task, so it is
-    /// subtracted from the session delta to keep the totals identical
-    /// to a sequential run.
-    inline_task_closure: ClosureStats,
 }
 
 impl<'a, O: AnalysisObserver> Engine<'a, O> {
@@ -867,10 +106,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             })
             .collect();
         let session = crate::session::AnalysisSession::new(config.widen_thresholds.clone());
-        let mut scheduler = Scheduler::new(&config);
-        if config.order == ScheduleOrder::Priority {
-            scheduler.set_priority(SccRanks::compute(cfg));
-        }
+        let scheduler = Scheduler::new(&config);
         Engine {
             cfg,
             norm,
@@ -886,8 +122,6 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             leaks: BTreeSet::new(),
             deadlock: None,
             top: None,
-            worker_closure: ClosureStats::default(),
-            inline_task_closure: ClosureStats::default(),
         }
         .with_domain()
     }
@@ -903,16 +137,6 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.top = Some(reason);
     }
 
-    fn step_ctx(&self) -> StepCtx<'_> {
-        StepCtx {
-            cfg: self.cfg,
-            norm: &self.norm,
-            domain: self.domain,
-            assumes: &self.assumes,
-            allow_pending_sends: self.config.allow_pending_sends,
-        }
-    }
-
     fn run(mut self) -> AnalysisResult {
         // Phase timing is opt-in (a few percent of timer calls): queried
         // once so untimed runs skip every `Instant::now`.
@@ -924,40 +148,65 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.domain.rename(&mut init);
         self.scheduler.seed(init);
 
-        // Tier 2: the round executor. `intra_jobs <= 1` keeps the
-        // historical inline loop (stepping and merging interleaved per
-        // item); more jobs step each round's frontier speculatively on
-        // pool workers and merge the results in extraction order.
-        let executor =
-            (self.config.intra_jobs > 1).then(|| RoundExecutor::new(self.config.intra_jobs));
-        profile.par_workers = executor.as_ref().map_or(0, RoundExecutor::workers);
-
-        'rounds: loop {
+        loop {
             if self.top.is_some() {
                 break;
             }
-            // Tier 1: drain the ready frontier (budget-capped; priority
-            // ordered when configured).
-            let frontier = self.scheduler.drain_frontier();
-            if frontier.is_empty() {
+            let Some(tick) = self.scheduler.tick() else {
                 break; // Worklist exhausted: fixpoint.
-            }
-            profile.rounds += 1;
-            profile.frontier_total += frontier.len() as u64;
-            profile.frontier_peak = profile.frontier_peak.max(frontier.len());
-
-            match &executor {
-                None => {
-                    for (_, st) in frontier {
-                        if !self.merge_inline(st, timing, &mut profile) {
-                            break 'rounds;
-                        }
-                    }
+            };
+            let st = match tick {
+                Ok(st) => st,
+                Err(reason) => {
+                    self.give_up(reason);
+                    break;
                 }
-                Some(exec) => {
-                    if !self.round_parallel(exec, frontier, timing, &mut profile) {
-                        break 'rounds;
-                    }
+            };
+            self.observer.on_step(self.scheduler.steps(), &st);
+            // A step with an unblocked set is a transfer step; with every
+            // set blocked it is a matching step (match / split / promote).
+            let is_transfer = st.psets.iter().any(|p| {
+                !matches!(
+                    self.cfg.node(p.node),
+                    CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit
+                )
+            });
+            let step_start = timing.then(Instant::now);
+            let successors = self.step(st);
+            if let Some(t) = step_start {
+                let dt = t.elapsed();
+                if is_transfer {
+                    profile.transfer += dt;
+                } else {
+                    profile.matching += dt;
+                }
+            }
+            for mut s in successors {
+                let norm_start = timing.then(Instant::now);
+                let keep = self.normalize_successor(&mut s);
+                if let Some(t) = norm_start {
+                    profile.join_widen += t.elapsed();
+                }
+                if !keep {
+                    continue;
+                }
+                self.matches.extend(s.matches.iter().cloned());
+                if self.is_terminal(&s) {
+                    self.finish_terminal(&s);
+                    continue;
+                }
+                let admit_start = timing.then(Instant::now);
+                let rejected = self.scheduler.admit(
+                    s,
+                    self.domain,
+                    &self.session.widen_thresholds,
+                    &mut *self.observer,
+                );
+                if let Some(t) = admit_start {
+                    profile.admission += t.elapsed();
+                }
+                if let Some(reason) = rejected {
+                    self.give_up(reason);
                 }
             }
         }
@@ -980,11 +229,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 .collect(),
             leaks: self.leaks.into_iter().collect(),
             steps: self.scheduler.steps(),
-            closure_stats: self
-                .session
-                .closure_delta()
-                .since(&self.inline_task_closure)
-                .merged(&self.worker_closure),
+            closure_stats: self.session.closure_delta(),
             trace: Vec::new(),
         };
         self.observer.on_complete(&result);
@@ -992,216 +237,6 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         profile.stored = self.scheduler.stored_stats();
         self.observer.on_profile(&profile);
         result
-    }
-
-    /// Inline (sequential) processing of one frontier item: count the
-    /// step, step the state on this thread, merge immediately — the
-    /// historical `tick()` loop body verbatim. Returns `false` when the
-    /// round loop must stop (budget, deadline or ⊤).
-    fn merge_inline(
-        &mut self,
-        st: AnalysisState,
-        timing: bool,
-        profile: &mut EngineProfile,
-    ) -> bool {
-        if self.top.is_some() {
-            return false;
-        }
-        if let Some(reason) = self.scheduler.count_step() {
-            self.give_up(reason);
-            return false;
-        }
-        if self.config.panic_at_step == Some(self.scheduler.steps()) {
-            std::panic::panic_any(fault_message(self.scheduler.steps()));
-        }
-        self.observer.on_step(self.scheduler.steps(), &st);
-        // A step with an unblocked set is a transfer step; with every
-        // set blocked it is a matching step (match / split / promote).
-        let is_transfer = st.psets.iter().any(|p| {
-            !matches!(
-                self.cfg.node(p.node),
-                CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit
-            )
-        });
-        let step_start = timing.then(Instant::now);
-        let (successors, actions) = {
-            let mut stepper = Stepper::new(self.step_ctx());
-            let successors = stepper.step(st);
-            (successors, stepper.actions)
-        };
-        if let Some(t) = step_start {
-            let dt = t.elapsed();
-            if is_transfer {
-                profile.transfer += dt;
-            } else {
-                profile.matching += dt;
-            }
-        }
-        self.absorb(successors, actions, timing, profile);
-        true
-    }
-
-    /// One parallel round: clone the frontier states to pool workers
-    /// (CoW-cheap), step them speculatively, then merge the results in
-    /// extraction order. Returns `false` when the round loop must stop.
-    fn round_parallel(
-        &mut self,
-        exec: &RoundExecutor,
-        frontier: Vec<(LocationKey, AnalysisState)>,
-        timing: bool,
-        profile: &mut EngineProfile,
-    ) -> bool {
-        // Items that merge this round receive step numbers steps()+1….
-        // The injected fault uses the same numbering on the worker, so
-        // inline and parallel runs panic with identical messages.
-        let base_step = self.scheduler.steps();
-        let items: Vec<(u64, (u64, AnalysisState))> = frontier
-            .iter()
-            .enumerate()
-            .map(|(i, (key, st))| (key.index() as u64, (base_step + i as u64 + 1, st.clone())))
-            .collect();
-        let wait_start = timing.then(Instant::now);
-        let caller_before = ClosureStats::snapshot();
-        let (slots, rstats) = {
-            let ctx = self.step_ctx();
-            let panic_at = self.config.panic_at_step;
-            let table = mpl_domains::table_snapshot();
-            exec.run_round(items, move |_, (ordinal, st): (u64, AnalysisState)| {
-                // Workers adopt the coordinator's interner so packed
-                // VarIds mean the same thing on every thread; the
-                // vocabulary is fully pre-interned, so stepping never
-                // grows the table.
-                mpl_domains::adopt_table(table.clone());
-                if panic_at == Some(ordinal) {
-                    std::panic::panic_any(fault_message(ordinal));
-                }
-                let before = ClosureStats::snapshot();
-                let mut stepper = Stepper::new(ctx);
-                let successors = stepper.step(st);
-                StepOutput {
-                    successors,
-                    actions: stepper.actions,
-                    closure: ClosureStats::snapshot().since(&before),
-                }
-            })
-        };
-        if let Some(t) = wait_start {
-            profile.round_wait += t.elapsed();
-        }
-        // Rounds with a single group run inline on this thread; their
-        // step work polluted this thread's counters and must not be
-        // double counted against the per-task deltas merged below.
-        self.inline_task_closure
-            .merge(&ClosureStats::snapshot().since(&caller_before));
-        profile.par_groups += rstats.groups as u64;
-        profile.par_steals += rstats.steals;
-
-        let merge_start = timing.then(Instant::now);
-        let nested_before = profile.join_widen + profile.admission;
-        let mut keep_going = true;
-        for ((_, pre), slot) in frontier.into_iter().zip(slots) {
-            if self.top.is_some() {
-                keep_going = false;
-                break;
-            }
-            if let Some(reason) = self.scheduler.count_step() {
-                self.give_up(reason);
-                keep_going = false;
-                break;
-            }
-            match slot {
-                Ok(output) => {
-                    self.worker_closure.merge(&output.closure);
-                    self.observer.on_step(self.scheduler.steps(), &pre);
-                    self.absorb(output.successors, output.actions, timing, profile);
-                }
-                // Re-raise the worker's panic on the coordinating
-                // thread, at the step where the sequential loop would
-                // have panicked; the request layer's `catch_unwind`
-                // turns it into a structured failure.
-                Err(failure) => std::panic::panic_any(failure.message),
-            }
-        }
-        if let Some(t) = merge_start {
-            let nested = (profile.join_widen + profile.admission) - nested_before;
-            profile.round_merge += t.elapsed().saturating_sub(nested);
-        }
-        keep_going
-    }
-
-    /// Merges one stepped item: replays its action log (observer events
-    /// and accumulator effects, in step order), then normalizes and
-    /// admits its successor states — exactly what the historical loop
-    /// did after `step()` returned.
-    fn absorb(
-        &mut self,
-        successors: Vec<AnalysisState>,
-        actions: Vec<TaskAction>,
-        timing: bool,
-        profile: &mut EngineProfile,
-    ) {
-        for action in actions {
-            self.replay(action);
-        }
-        for mut s in successors {
-            let norm_start = timing.then(Instant::now);
-            let keep = self.normalize_successor(&mut s);
-            if let Some(t) = norm_start {
-                profile.join_widen += t.elapsed();
-            }
-            if !keep {
-                continue;
-            }
-            self.matches.extend(s.matches.iter().cloned());
-            if self.is_terminal(&s) {
-                self.finish_terminal(&s);
-                continue;
-            }
-            let admit_start = timing.then(Instant::now);
-            let rejected = self.scheduler.admit(
-                s,
-                self.domain,
-                &self.session.widen_thresholds,
-                &mut *self.observer,
-            );
-            if let Some(t) = admit_start {
-                profile.admission += t.elapsed();
-            }
-            if let Some(reason) = rejected {
-                self.give_up(reason);
-            }
-        }
-    }
-
-    fn replay(&mut self, action: TaskAction) {
-        match action {
-            TaskAction::Promote { idx, state } => self.observer.on_promote(idx, &state),
-            TaskAction::Split { a, b } => self.observer.on_split(&a, &b),
-            TaskAction::Match { event } => self.record_match_event(event),
-            TaskAction::MatchRejected => self.observer.on_match_rejected(),
-            TaskAction::Top { reason } => self.give_up(reason),
-            TaskAction::Deadlock { blocked } => {
-                if self.deadlock.is_none() {
-                    self.deadlock = Some(blocked);
-                }
-            }
-            TaskAction::Print { node, range, value } => self.fold_print(node, range, value),
-        }
-    }
-
-    /// Folds one evaluated print fact into the per-(node, range) table:
-    /// a conflicting value demotes the fact to "not constant".
-    fn fold_print(&mut self, node: CfgNodeId, range: String, value: Option<i64>) {
-        let key = (node, range);
-        match self.prints.get(&key) {
-            Some(prev) if *prev != value => {
-                self.prints.insert(key, None);
-            }
-            Some(_) => {}
-            None => {
-                self.prints.insert(key, value);
-            }
-        }
     }
 
     /// Normalizes a successor state in place: closes the constraint
@@ -1270,8 +305,646 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.observer.on_terminal(st);
     }
 
+    /// One engine step from `st`: returns successor states.
+    fn step(&mut self, st: AnalysisState) -> Vec<AnalysisState> {
+        self.step_inner(st, 0)
+    }
+
+    fn step_inner(&mut self, st: AnalysisState, depth: u32) -> Vec<AnalysisState> {
+        // 1. Advance an unblocked process set.
+        let unblocked = st.psets.iter().position(|p| {
+            !matches!(
+                self.cfg.node(p.node),
+                CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit
+            )
+        });
+        if let Some(idx) = unblocked {
+            return self.advance(st, idx);
+        }
+        // 2. All blocked: match sends to receives.
+        if let Some(next) = self.match_step(&st) {
+            return vec![next];
+        }
+        // 3. Fork the state on an undecidable match comparison (the §VI
+        //    split driven by partially-matched subsets).
+        if let Some(states) = self.ambiguity_split(&st, depth) {
+            return states;
+        }
+        // 4. Buffer a send (depth-1 aggregation).
+        if self.config.allow_pending_sends {
+            let promotable = st.psets.iter().position(|p| {
+                matches!(self.cfg.node(p.node), CfgNode::Send { .. }) && p.pending.is_none()
+            });
+            if let Some(idx) = promotable {
+                self.observer.on_promote(idx, &st);
+                let mut s = st;
+                let CfgNode::Send { value, dest } = self.cfg.node(s.psets[idx].node).clone() else {
+                    unreachable!()
+                };
+                s.psets[idx].pending = Some(PendingSend {
+                    node: s.psets[idx].node,
+                    value,
+                    dest,
+                });
+                s.psets[idx].node = self.cfg.sole_succ(s.psets[idx].node);
+                return vec![s];
+            }
+        }
+        // 5. Stuck. Pending sends at exit are leaks; receives that can
+        //    never be satisfied are a deadlock; anything else is ⊤.
+        let any_comm_blocked = st.psets.iter().any(|p| {
+            matches!(
+                self.cfg.node(p.node),
+                CfgNode::Send { .. } | CfgNode::Recv { .. }
+            )
+        });
+        if !any_comm_blocked {
+            // Everyone is at exit but pendings remain: terminal (leaks
+            // recorded by finish_terminal).
+            return vec![st];
+        }
+        let has_send_capability = st
+            .psets
+            .iter()
+            .any(|p| p.pending.is_some() || matches!(self.cfg.node(p.node), CfgNode::Send { .. }));
+        if !has_send_capability {
+            // Only receives outstanding and nothing can ever send:
+            // guaranteed deadlock (matching so far was exact).
+            let blocked = st
+                .psets
+                .iter()
+                .filter(|p| !matches!(self.cfg.node(p.node), CfgNode::Exit))
+                .map(|p| (p.node, p.range.to_string()))
+                .collect();
+            if self.deadlock.is_none() {
+                self.deadlock = Some(blocked);
+            }
+            return Vec::new();
+        }
+        self.give_up(TopReason::MatchFailure {
+            state: st.to_string(),
+        });
+        Vec::new()
+    }
+
+    /// Advances the unblocked pset `idx` one CFG step.
+    fn advance(&mut self, mut st: AnalysisState, idx: usize) -> Vec<AnalysisState> {
+        let node = st.psets[idx].node;
+        match self.cfg.node(node).clone() {
+            CfgNode::Entry | CfgNode::Skip => {
+                st.psets[idx].node = self.cfg.sole_succ(node);
+                vec![st]
+            }
+            CfgNode::Assign { name, value } => {
+                self.domain
+                    .transfer_assign(&self.norm, &mut st, idx, &name, &value);
+                st.psets[idx].node = self.cfg.sole_succ(node);
+                vec![st]
+            }
+            CfgNode::Print(e) => {
+                self.record_print(&mut st, idx, node, &e);
+                st.psets[idx].node = self.cfg.sole_succ(node);
+                vec![st]
+            }
+            CfgNode::Assume(e) => {
+                self.domain.transfer_assume(&self.norm, &mut st, idx, &e);
+                st.psets[idx].node = self.cfg.sole_succ(node);
+                vec![st]
+            }
+            CfgNode::Branch { cond } => self.branch(st, idx, &cond),
+            CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit => {
+                unreachable!("blocked node reached advance")
+            }
+        }
+    }
+
+    /// Replaces variables provably equal to `id + k` by that expression,
+    /// so conditions like `x < np - 1` after `x := id` split correctly.
+    fn subst_id_aliases(
+        &self,
+        st: &mut AnalysisState,
+        pset: mpl_domains::PsetId,
+        expr: &Expr,
+    ) -> Expr {
+        match expr {
+            Expr::Var(name) if !self.norm.is_input(name) => {
+                let v = self.norm.var(pset, name);
+                match st.cg.eq_offset(v, VarId::id_of(pset)) {
+                    Some(0) => Expr::Id,
+                    Some(k) => Expr::binary(BinOp::Add, Expr::Id, Expr::Int(k)),
+                    None => expr.clone(),
+                }
+            }
+            Expr::Binary(op, l, r) => Expr::binary(
+                *op,
+                self.subst_id_aliases(st, pset, l),
+                self.subst_id_aliases(st, pset, r),
+            ),
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(self.subst_id_aliases(st, pset, e))),
+            _ => expr.clone(),
+        }
+    }
+
+    fn record_print(&mut self, st: &mut AnalysisState, idx: usize, node: CfgNodeId, e: &Expr) {
+        let pset = st.psets[idx].id;
+        let value = self.norm.eval_const(e, pset, &st.consts).or_else(|| {
+            self.norm
+                .linearize(e, pset)
+                .and_then(|lin| st.cg.eval_expr(&lin))
+        });
+        let key = (node, st.psets[idx].range.to_string());
+        match self.prints.get(&key) {
+            Some(prev) if *prev != value => {
+                self.prints.insert(key, None);
+            }
+            Some(_) => {}
+            None => {
+                self.prints.insert(key, value);
+            }
+        }
+    }
+
+    fn branch(&mut self, st: AnalysisState, idx: usize, cond: &Expr) -> Vec<AnalysisState> {
+        let t_succ = self
+            .cfg
+            .succ_along(st.psets[idx].node, EdgeKind::True)
+            .expect("branch true edge");
+        let f_succ = self
+            .cfg
+            .succ_along(st.psets[idx].node, EdgeKind::False)
+            .expect("branch false edge");
+
+        // Rewrite id-aliased variables so `x := id; if x < k` splits like
+        // an id-branch.
+        let cond = {
+            let mut probe = st.clone();
+            let pset = st.psets[idx].id;
+            self.subst_id_aliases(&mut probe, pset, cond)
+        };
+        let cond = &cond;
+
+        // (a) id-dependent branch. A provably-singleton set has a single
+        // `id` value, so the condition is uniform over the set and the
+        // decide/refine machinery below applies (its refinements
+        // constrain the set's `id` variable directly). Larger sets split.
+        let singleton = {
+            let mut probe = st.cg.clone();
+            st.psets[idx].range.is_singleton(&mut probe)
+        };
+        if cond.mentions_id() && !singleton {
+            let mut s = st.clone();
+            if let Some((t_parts, f_parts)) = self.domain.split_on_id(&self.norm, &mut s, idx, cond)
+            {
+                let mut parts: Vec<(ProcRange, CfgNodeId, bool)> = Vec::new();
+                for r in t_parts {
+                    parts.push((r, t_succ, true));
+                }
+                for r in f_parts {
+                    parts.push((r, f_succ, true));
+                }
+                s.split_pset(idx, parts);
+                return vec![s];
+            }
+            self.give_up(TopReason::SplitFailure {
+                cond: cond.to_string(),
+            });
+            return Vec::new();
+        }
+
+        // Soundness gate: a whole (non-singleton) set may take one branch
+        // edge only if the condition provably evaluates identically on
+        // every member.
+        let pset = st.psets[idx].id;
+        if !singleton
+            && !cond.mentions_id()
+            && !self.domain.is_uniform_expr(&self.norm, &st, pset, cond)
+        {
+            self.give_up(TopReason::NonUniformCondition {
+                cond: cond.to_string(),
+            });
+            return Vec::new();
+        }
+
+        // (b) uniform condition: decide if possible.
+        if let Some(truth) = self.decide(&st, pset, cond) {
+            let mut s = st;
+            let refs = self.norm.refinements(cond, pset, !truth);
+            if !self.refine_or_drop_empty(&mut s, &refs) {
+                return Vec::new();
+            }
+            if let Some(i) = s.index_of(pset) {
+                s.psets[i].node = if truth { t_succ } else { f_succ };
+            }
+            return vec![s];
+        }
+
+        // (c) undecided: explore both outcomes.
+        let mut out = Vec::new();
+        for (truth, succ) in [(true, t_succ), (false, f_succ)] {
+            let mut s = st.clone();
+            let refs = self.norm.refinements(cond, pset, !truth);
+            if !self.refine_or_drop_empty(&mut s, &refs) {
+                continue;
+            }
+            if let Some(i) = s.index_of(pset) {
+                s.psets[i].node = succ;
+                out.push(s);
+            }
+        }
+        out
+    }
+
+    /// Applies comparison refinements to the state. A refinement that
+    /// contradicts some *other* process set's `id` bounds proves that set
+    /// empty under this path (e.g. the Fig 5 loop-exit edge `i = np`
+    /// emptying the blocked receivers `[i..np-1]`): such sets are deleted
+    /// and the refinement retried. Returns `false` if the path is
+    /// genuinely infeasible (the branching set's own facts contradict).
+    fn refine_or_drop_empty(
+        &self,
+        st: &mut AnalysisState,
+        refs: &[(LinExpr, LinExpr, crate::norm::RelOp)],
+    ) -> bool {
+        loop {
+            let mut probe = st.cg.clone();
+            self.norm.apply_refinements(&mut probe, refs);
+            probe.close();
+            if !probe.is_bottom() {
+                st.cg = probe;
+                return true;
+            }
+            // Find a process set whose removal restores consistency.
+            let mut removed = false;
+            for i in 0..st.psets.len() {
+                let victim = st.psets[i].id;
+                let mut without = st.cg.clone();
+                without.drop_namespace(victim);
+                self.norm.apply_refinements(&mut without, refs);
+                without.close();
+                if !without.is_bottom() {
+                    // `victim` is provably empty under the refinement.
+                    let _ = victim;
+                    st.remove_pset(i);
+                    removed = true;
+                    break;
+                }
+            }
+            if !removed {
+                return false;
+            }
+        }
+    }
+
+    /// Decides a set-uniform condition when provable.
+    fn decide(&self, st: &AnalysisState, pset: mpl_domains::PsetId, cond: &Expr) -> Option<bool> {
+        if let Some(c) = self.norm.eval_const(cond, pset, &st.consts) {
+            return Some(c != 0);
+        }
+        // Single comparison decidable from the constraint graph.
+        let (op, l, r) = match cond {
+            Expr::Binary(op, l, r) if op.is_boolean() => (*op, l, r),
+            Expr::Unary(UnOp::Not, inner) => {
+                return self.decide(st, pset, inner).map(|b| !b);
+            }
+            _ => return None,
+        };
+        let mut cg = st.cg.clone();
+        let (le, re) = (
+            self.norm.linearize_resolved(l, pset, &st.consts, &mut cg)?,
+            self.norm.linearize_resolved(r, pset, &st.consts, &mut cg)?,
+        );
+        let cmp = cg.compare_exprs(&le, &re);
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match op {
+            BinOp::Eq => match cmp {
+                Some(Equal) => Some(true),
+                Some(Less | Greater) => Some(false),
+                None => None,
+            },
+            BinOp::Ne => match cmp {
+                Some(Equal) => Some(false),
+                Some(Less | Greater) => Some(true),
+                None => None,
+            },
+            BinOp::Le => {
+                if cg.proves_le(&le, &re) {
+                    Some(true)
+                } else if cg.proves_le(&re.plus(1), &le) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            BinOp::Lt => {
+                if cg.proves_le(&le.plus(1), &re) {
+                    Some(true)
+                } else if cg.proves_le(&re, &le) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            BinOp::Ge => {
+                if cg.proves_le(&re, &le) {
+                    Some(true)
+                } else if cg.proves_le(&le.plus(1), &re) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            BinOp::Gt => {
+                if cg.proves_le(&re.plus(1), &le) {
+                    Some(true)
+                } else if cg.proves_le(&le, &re) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Collects the send/receive operations available for matching.
+    fn comm_sites(&self, st: &AnalysisState) -> (Vec<SendSite>, Vec<RecvSite>) {
+        let mut sends: Vec<SendSite> = Vec::new();
+        let mut recvs: Vec<RecvSite> = Vec::new();
+        for (i, p) in st.psets.iter().enumerate() {
+            if let Some(pend) = &p.pending {
+                sends.push(SendSite {
+                    pset_idx: i,
+                    node: pend.node,
+                    value: pend.value.clone(),
+                    dest: pend.dest.clone(),
+                    pending: true,
+                });
+            }
+            match self.cfg.node(p.node) {
+                CfgNode::Send { value, dest } if p.pending.is_none() => {
+                    sends.push(SendSite {
+                        pset_idx: i,
+                        node: p.node,
+                        value: value.clone(),
+                        dest: dest.clone(),
+                        pending: false,
+                    });
+                }
+                CfgNode::Recv { var, src } => {
+                    recvs.push(RecvSite {
+                        pset_idx: i,
+                        node: p.node,
+                        src: src.clone(),
+                        var: var.clone(),
+                    });
+                }
+                _ => {}
+            }
+        }
+        (sends, recvs)
+    }
+
+    /// Attempts one send–receive match; returns the successor state.
+    fn match_step(&mut self, st: &AnalysisState) -> Option<AnalysisState> {
+        let matcher = self.domain.matcher();
+        let (sends, recvs) = self.comm_sites(st);
+        for send in &sends {
+            for recv in &recvs {
+                let mut s = st.clone();
+                if let Some(outcome) =
+                    matcher.try_match(&mut s, send, recv, &self.norm, &self.assumes)
+                {
+                    match self.apply_match(s, send, recv, &outcome) {
+                        Some(next) => return Some(next),
+                        None => self.observer.on_match_rejected(),
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Forks the state on the first undecidable comparison blocking a
+    /// match, then advances each branch (the comparison is decided in
+    /// each, so the match proceeds one way or the other).
+    fn ambiguity_split(&mut self, st: &AnalysisState, depth: u32) -> Option<Vec<AnalysisState>> {
+        if depth > 8 {
+            self.give_up(TopReason::SplitDepthExceeded);
+            return Some(Vec::new());
+        }
+        let matcher = self.domain.matcher();
+        let (sends, recvs) = self.comm_sites(st);
+        for send in &sends {
+            for recv in &recvs {
+                let mut probe = st.clone();
+                let Some((a, b)) = matcher.split_hint(&mut probe, send, recv, &self.norm) else {
+                    continue;
+                };
+                self.observer.on_split(&a, &b);
+                let mut out = Vec::new();
+                let av = a.var.unwrap_or(VarId::ZERO);
+                let bv = b.var.unwrap_or(VarId::ZERO);
+                // Branch 1: a <= b.
+                let mut s1 = st.clone();
+                s1.cg.assert_le(av, bv, b.offset - a.offset);
+                s1.cg.close();
+                if !s1.cg.is_bottom() {
+                    out.extend(self.step_inner(s1, depth + 1));
+                }
+                // Branch 2: b <= a - 1.
+                let mut s2 = st.clone();
+                s2.cg.assert_le(bv, av, a.offset - b.offset - 1);
+                s2.cg.close();
+                if !s2.cg.is_bottom() {
+                    out.extend(self.step_inner(s2, depth + 1));
+                }
+                return Some(out);
+            }
+        }
+        None
+    }
+
+    /// Applies a successful match: splits/releases the participating
+    /// process sets, propagates the sent value, records the match.
+    fn apply_match(
+        &mut self,
+        mut st: AnalysisState,
+        send: &SendSite,
+        recv: &RecvSite,
+        outcome: &MatchOutcome,
+    ) -> Option<AnalysisState> {
+        let recv_succ = self.cfg.sole_succ(recv.node);
+        st.matches.insert((send.node, recv.node));
+        // Capture the event now (the constants are provable in the
+        // pre-release state), but only *record* it once the match has
+        // actually been applied — a failed application must leave no
+        // trace in the reported topology.
+        let singleton_const = |st: &mut AnalysisState, r: &ProcRange| -> Option<i64> {
+            let mut cg = st.cg.clone();
+            if !r.is_singleton(&mut cg) {
+                return None;
+            }
+            r.lb.exprs().iter().find_map(|e| cg.eval_expr(e))
+        };
+        let event = MatchEvent {
+            send_node: send.node,
+            recv_node: recv.node,
+            s_procs: outcome.s_procs.to_string(),
+            r_procs: outcome.r_procs.to_string(),
+            kind: outcome.kind,
+            s_const: singleton_const(&mut st, &outcome.s_procs),
+            r_const: singleton_const(&mut st, &outcome.r_procs),
+        };
+
+        if send.pset_idx == recv.pset_idx {
+            // Self-exchange (transpose): only full-set matches supported.
+            let range = st.psets[send.pset_idx].range.clone();
+            if !outcome.s_procs.provably_eq(&mut st.cg, &range)
+                || !outcome.r_procs.provably_eq(&mut st.cg, &range)
+            {
+                return None;
+            }
+            if !send.pending {
+                return None; // A set cannot be at send and recv at once.
+            }
+            self.propagate_value(&mut st, send, recv, recv.pset_idx);
+            st.psets[recv.pset_idx].pending = None;
+            st.psets[recv.pset_idx].node = recv_succ;
+            self.record_match_event(event);
+            return Some(st);
+        }
+
+        // Receiver side first (indices shift when psets split).
+        let r_full = {
+            let range = st.psets[recv.pset_idx].range.clone();
+            outcome.r_procs.provably_eq(&mut st.cg, &range)
+        };
+        let mut receiver_new_idx = recv.pset_idx;
+        let assigned_ns;
+        if r_full {
+            assigned_ns = st.psets[recv.pset_idx].id;
+            self.propagate_value(&mut st, send, recv, recv.pset_idx);
+            st.psets[recv.pset_idx].node = recv_succ;
+        } else {
+            let range = st.psets[recv.pset_idx].range.clone();
+            let remainder = range.subtract(&mut st.cg, &outcome.r_procs)?;
+            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> =
+                vec![(outcome.r_procs.clone(), recv_succ, true)];
+            match remainder {
+                SubtractOutcome::Empty => {}
+                SubtractOutcome::One(r) => parts.push((r, recv.node, true)),
+                SubtractOutcome::Two(a, b) => {
+                    parts.push((a, recv.node, true));
+                    parts.push((b, recv.node, true));
+                }
+            }
+            let sender_id = st.psets[send.pset_idx].id;
+            st.split_pset(recv.pset_idx, parts);
+            // After split_pset the new psets are appended at the end; the
+            // matched part is the one at recv_succ (first pushed).
+            receiver_new_idx = st
+                .psets
+                .iter()
+                .position(|p| {
+                    p.node == recv_succ && p.range.lb.exprs() == outcome.r_procs.lb.exprs()
+                })
+                .unwrap_or(st.psets.len() - 1);
+            assigned_ns = st.psets[receiver_new_idx].id;
+            self.domain.propagate_received(
+                &self.norm,
+                &mut st,
+                send,
+                recv,
+                sender_id,
+                receiver_new_idx,
+            );
+        }
+        let _ = receiver_new_idx;
+
+        // The receiver-side value propagation reassigned `recv.var`, so
+        // any alias mentioning it inside the matched ranges is stale and
+        // would corrupt bound comparisons (e.g. falsely proving the
+        // matched senders empty). Strip those aliases and re-saturate
+        // against the updated facts.
+        let stale = VarId::pset_var(assigned_ns, mpl_domains::intern_name(&recv.var));
+        let sanitize = |st: &mut AnalysisState, r: &ProcRange| -> ProcRange {
+            let keep = |b: &mpl_procset::Bound| {
+                mpl_procset::Bound::from_exprs(
+                    b.exprs()
+                        .iter()
+                        .filter(|e| e.var != Some(stale))
+                        .cloned()
+                        .collect(),
+                )
+            };
+            let mut out = ProcRange::new(keep(&r.lb), keep(&r.ub));
+            if out.is_vacant() {
+                return r.clone();
+            }
+            out.saturate(&mut st.cg);
+            out
+        };
+        let s_procs = sanitize(&mut st, &outcome.s_procs);
+
+        // Sender side.
+        let send_idx = st.psets.iter().position(|p| {
+            if send.pending {
+                p.pending.as_ref().is_some_and(|pd| pd.node == send.node)
+            } else {
+                p.node == send.node
+            }
+        })?;
+        let s_range = st.psets[send_idx].range.clone();
+        let s_full = s_procs.provably_eq(&mut st.cg, &s_range);
+        if s_full {
+            if send.pending {
+                st.psets[send_idx].pending = None;
+            } else {
+                st.psets[send_idx].node = self.cfg.sole_succ(send.node);
+            }
+        } else {
+            let remainder = s_range.subtract(&mut st.cg, &s_procs)?;
+            let released_node = if send.pending {
+                st.psets[send_idx].node
+            } else {
+                self.cfg.sole_succ(send.node)
+            };
+            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> = Vec::new();
+            // Matched part: pending cleared (if pending) or advanced.
+            parts.push((s_procs.clone(), released_node, false));
+            match remainder {
+                SubtractOutcome::Empty => {}
+                SubtractOutcome::One(r) => parts.push((r, st.psets[send_idx].node, true)),
+                SubtractOutcome::Two(a, b) => {
+                    parts.push((a, st.psets[send_idx].node, true));
+                    parts.push((b, st.psets[send_idx].node, true));
+                }
+            }
+            // For a non-pending sender the "keep pending" flag is
+            // irrelevant (no pending exists); for a pending sender the
+            // matched part released its pending while the rest keeps it.
+            st.split_pset(send_idx, parts);
+        }
+        self.record_match_event(event);
+        Some(st)
+    }
+
     fn record_match_event(&mut self, event: MatchEvent) {
         self.observer.on_match(&event);
         self.events.insert(event.to_string(), event);
+    }
+
+    /// Propagates the sent value into the receiver's variable (Fig 2's
+    /// cross-process constant propagation).
+    fn propagate_value(
+        &mut self,
+        st: &mut AnalysisState,
+        send: &SendSite,
+        recv: &RecvSite,
+        recv_idx: usize,
+    ) {
+        let sender_id = st.psets[send.pset_idx].id;
+        self.domain
+            .propagate_received(&self.norm, st, send, recv, sender_id, recv_idx);
     }
 }

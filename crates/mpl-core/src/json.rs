@@ -12,8 +12,14 @@
 //! numbers must be integers in `i64` range. No request field is
 //! fractional, and silently rounding a malformed knob would violate the
 //! protocol's strict-validation discipline, so floats are a parse error.
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects, so a hostile line
+//! of brackets is a parse error rather than a stack overflow.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`parse`] accepts. Protocol requests
+/// are flat objects; the cap only exists to bound the parser's recursion.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,6 +125,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -132,6 +139,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -172,8 +181,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -345,6 +365,8 @@ mod tests {
             v.get("b").unwrap().get("c").and_then(JsonValue::as_str),
             Some("d")
         );
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
     }
 
     #[test]
@@ -372,6 +394,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
+        // One level past the nesting cap, and far past it: an error at
+        // the cap, not a stack overflow.
+        let over_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&over_cap).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("nesting too deep", MAX_DEPTH)
+        );
+        assert!(parse(&"[".repeat(300_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(300_000)).is_err());
     }
 
     #[test]

@@ -67,10 +67,10 @@ pub mod share;
 pub mod state;
 pub mod topology;
 
-pub use batch::{BatchAnalyzer, BatchJob, BatchReport, BatchSummary, Fault, JobOutcome, JobRecord};
+pub use batch::{BatchResponse, BatchSummary, Fault, JobOutcome, JobRecord, RequestBatch};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{CartesianClient, Client, ClientDomain, SymbolicClient};
-pub use config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError, ScheduleOrder};
+pub use config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
 pub use engine::{analyze, analyze_cfg, analyze_cfg_with};
 pub use infoflow::{info_flow, info_flow_with_pairs, InfoFlow};
 pub use json::{json_escape, parse as parse_json, JsonError, JsonValue};
@@ -84,8 +84,8 @@ pub use observer::{
 pub use pattern::{classify, classify_pairs, Pattern};
 pub use persist::{CacheJournal, JournalEntry, JournalReplay, JournalStats};
 pub use request::{
-    summary_json_line, AnalysisRequest, AnalysisRequestBuilder, AnalysisResponse, BatchResponse,
-    RequestBatch, RequestError, PROTOCOL_VERSION,
+    summary_json_line, AnalysisRequest, AnalysisRequestBuilder, AnalysisResponse, RequestError,
+    PROTOCOL_VERSION,
 };
 pub use result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 pub use rewrite::{rewrite_broadcast, RewriteError};

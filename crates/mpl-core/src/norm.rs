@@ -26,38 +26,15 @@ impl NormCtx {
     #[must_use]
     pub fn from_cfg(cfg: &Cfg) -> NormCtx {
         let mut assigned = BTreeSet::new();
-        let mut mentioned = BTreeSet::new();
-        let mut collect = |e: &Expr| collect_var_names(e, &mut mentioned);
         for id in cfg.node_ids() {
             match cfg.node(id) {
-                CfgNode::Assign { name, value } => {
+                CfgNode::Assign { name, .. } | CfgNode::Recv { var: name, .. } => {
                     assigned.insert(name.clone());
-                    collect(value);
                 }
-                CfgNode::Recv { var: name, src } => {
-                    assigned.insert(name.clone());
-                    collect(src);
-                }
-                CfgNode::Send { value, dest } => {
-                    collect(value);
-                    collect(dest);
-                }
-                CfgNode::Branch { cond } => collect(cond),
-                CfgNode::Print(e) | CfgNode::Assume(e) => collect(e),
-                CfgNode::Entry | CfgNode::Exit | CfgNode::Skip => {}
+                _ => {}
             }
         }
-        // Pre-intern every name the program can mention: assigned names
-        // first (keeping their historical indices), then the remaining
-        // input parameters in sorted order. With the whole vocabulary
-        // interned up front, no transfer function ever grows the table —
-        // which is what lets the parallel round executor hand worker
-        // threads a per-round snapshot and still produce `VarId`s that
-        // mean the same thing on every thread.
-        let assigned_idx: HashSet<u32> = assigned.iter().map(|n| intern_name(n)).collect();
-        for name in mentioned.difference(&assigned) {
-            let _ = intern_name(name);
-        }
+        let assigned_idx = assigned.iter().map(|n| intern_name(n)).collect();
         NormCtx {
             assigned,
             assigned_idx,
@@ -305,22 +282,6 @@ impl NormCtx {
             Some(VarKind::Pset(..)) => return None,
         };
         Some(base + SymPoly::constant(e.offset))
-    }
-}
-
-/// Collects every `Var` name mentioned in `e` (for vocabulary
-/// pre-interning in [`NormCtx::from_cfg`]).
-fn collect_var_names(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Var(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Binary(_, l, r) => {
-            collect_var_names(l, out);
-            collect_var_names(r, out);
-        }
-        Expr::Unary(_, inner) => collect_var_names(inner, out),
-        Expr::Int(_) | Expr::Bool(_) | Expr::Id | Expr::Np => {}
     }
 }
 

@@ -28,25 +28,18 @@ use crate::state::AnalysisState;
 /// Per-phase wall-clock breakdown of one engine run, plus the final
 /// location-store footprint.
 ///
-/// The phases partition the worklist loop body. In the sequential
-/// (`intra_jobs = 1`) engine: `transfer` (advancing unblocked process
-/// sets), `matching` (blocked steps: send–receive matching, ambiguity
-/// splits, pending-send promotion), `join_widen` (successor
-/// normalization: closure, empty-set dropping, merging, canonical
-/// renumbering, bound saturation) and `admission` (dedup / widening
-/// against stored states, including the state clones it takes). Under
-/// the parallel round executor, stepping happens off-thread, so the
-/// main thread's loop body is instead partitioned into `round_wait`
-/// (blocked on the worker pool) and `round_merge` (replaying worker
-/// results in frontier order), with `join_widen`/`admission` still
-/// accounted separately inside the merge. In both modes
-/// [`EngineProfile::phase_sum`] covers the loop body, so
-/// `phase_sum ≈ total` within a few percent.
+/// The phases partition the worklist loop body: `transfer` (advancing
+/// unblocked process sets), `matching` (blocked steps: send–receive
+/// matching, ambiguity splits, pending-send promotion), `join_widen`
+/// (successor normalization: closure, empty-set dropping, merging,
+/// canonical renumbering, bound saturation) and `admission` (dedup /
+/// widening against stored states, including the state clones it takes).
+/// Their sum is the loop body; `total` additionally covers worklist
+/// bookkeeping, so `sum ≈ total` within a few percent.
 ///
 /// Phase timing is collected only when the observer opts in via
 /// [`AnalysisObserver::timing_enabled`] — the timer calls cost a few
-/// percent, so the default engine loop skips them entirely. The
-/// round/frontier counters are always populated.
+/// percent, so the default engine loop skips them entirely.
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct EngineProfile {
@@ -63,43 +56,13 @@ pub struct EngineProfile {
     pub total: Duration,
     /// Final footprint of the scheduler's per-location state store.
     pub stored: StoredStats,
-    /// Frontier rounds executed (one per worklist drain).
-    pub rounds: u64,
-    /// Sum of frontier widths over all rounds (so the mean width is
-    /// `frontier_total / rounds`).
-    pub frontier_total: u64,
-    /// Widest frontier observed in any round.
-    pub frontier_peak: usize,
-    /// Worker threads the round executor was configured with (0 when
-    /// the engine ran its sequential inline loop).
-    pub par_workers: usize,
-    /// Location groups dispatched to the pool across all rounds (the
-    /// unit of per-location serialization).
-    pub par_groups: u64,
-    /// Pool jobs a worker obtained by stealing rather than from its own
-    /// deque — a cheap occupancy/balance indicator.
-    pub par_steals: u64,
-    /// Main-thread wall time blocked on the worker pool (parallel
-    /// rounds only).
-    pub round_wait: Duration,
-    /// Main-thread wall time merging worker results back in frontier
-    /// order, excluding the nested `join_widen`/`admission` time
-    /// (parallel rounds only).
-    pub round_merge: Duration,
 }
 
 impl EngineProfile {
-    /// The sum of the phase timers covering the worklist loop body:
-    /// the four sequential phases plus the parallel-round `round_wait`
-    /// and `round_merge` (each mode leaves the other's timers at zero).
+    /// The sum of the four phase timers.
     #[must_use]
     pub fn phase_sum(&self) -> Duration {
-        self.transfer
-            + self.matching
-            + self.join_widen
-            + self.admission
-            + self.round_wait
-            + self.round_merge
+        self.transfer + self.matching + self.join_widen + self.admission
     }
 }
 
@@ -108,8 +71,7 @@ impl fmt::Display for EngineProfile {
         write!(
             f,
             "transfer {:?}, match {:?}, join/widen {:?}, admission {:?} \
-             (sum {:?} of {:?} total); {} stored locations, ~{} bytes; \
-             {} rounds, frontier peak {} mean {:.1}",
+             (sum {:?} of {:?} total); {} stored locations, ~{} bytes",
             self.transfer,
             self.matching,
             self.join_widen,
@@ -118,26 +80,7 @@ impl fmt::Display for EngineProfile {
             self.total,
             self.stored.locations,
             self.stored.approx_bytes,
-            self.rounds,
-            self.frontier_peak,
-            if self.rounds == 0 {
-                0.0
-            } else {
-                self.frontier_total as f64 / self.rounds as f64
-            },
-        )?;
-        if self.par_workers > 0 {
-            write!(
-                f,
-                "; par {} workers, {} groups, {} steals, wait {:?}, merge {:?}",
-                self.par_workers,
-                self.par_groups,
-                self.par_steals,
-                self.round_wait,
-                self.round_merge,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 

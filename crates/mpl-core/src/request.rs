@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use mpl_lang::ast::Program;
 use mpl_lang::parse_program;
 
-use crate::batch::{run_job, BatchAnalyzer, BatchJob, BatchSummary, Fault, JobOutcome, JobRecord};
+use crate::batch::{run_job, BatchSummary, Fault, JobOutcome, JobRecord};
 use crate::client::Client;
 use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
 use crate::json::json_escape;
@@ -179,7 +179,7 @@ impl AnalysisRequest {
         }
         let _ = write!(
             out,
-            ";trace={};timeout_nanos={};retries={};fault={}",
+            ";trace={};timeout_nanos={};retries={};fault={}\n{}",
             c.trace,
             self.timeout.map_or(0, |t| t.as_nanos()),
             self.retries,
@@ -193,20 +193,8 @@ impl AnalysisRequest {
                 #[allow(unreachable_patterns)]
                 Some(_) => "other",
             },
+            self.normalized_program(),
         );
-        // Appended only when non-default, so historical cache entries
-        // keep their check strings. `intra_jobs` is deliberately absent:
-        // the worker count is an execution knob with byte-identical
-        // output, so cached answers are shared across `--par` values.
-        // Schedule order and the injected engine fault *do* change the
-        // response and must split the identity.
-        if c.order == crate::config::ScheduleOrder::Priority {
-            out.push_str(";order=priority");
-        }
-        if let Some(step) = c.panic_at_step {
-            let _ = write!(out, ";panic_at={step}");
-        }
-        let _ = write!(out, "\n{}", self.normalized_program());
         out
     }
 
@@ -230,18 +218,11 @@ impl AnalysisRequest {
     /// discipline — fresh interner per attempt, cooperative deadline,
     /// retry ladder — and panic isolation: an unwinding analysis becomes
     /// a [`JobOutcome::Panicked`] response, exactly as it would in a
-    /// [`BatchAnalyzer`] fleet.
+    /// [`crate::RequestBatch`] fleet.
     #[must_use]
     pub fn execute(&self) -> AnalysisResponse {
         let start = Instant::now();
-        let job = BatchJob {
-            name: self.name.clone().unwrap_or_default(),
-            program: self.program.clone(),
-            config: self.config.clone(),
-            timeout: self.timeout,
-            fault: self.fault,
-        };
-        let caught = catch_unwind(AssertUnwindSafe(|| run_job(&job, None, self.retries)));
+        let caught = catch_unwind(AssertUnwindSafe(|| run_job(self, None, self.retries)));
         let wall_nanos = start.elapsed().as_nanos() as u64;
         let (outcome, result) = match caught {
             Ok((outcome, result)) => (outcome, result),
@@ -289,8 +270,6 @@ pub struct AnalysisRequestBuilder {
     max_steps: Option<u64>,
     max_psets: Option<usize>,
     widen_delay: Option<u32>,
-    par: Option<usize>,
-    order: Option<crate::config::ScheduleOrder>,
     timeout: Option<Duration>,
     retries: u32,
     fault: Option<Fault>,
@@ -373,25 +352,6 @@ impl AnalysisRequestBuilder {
         self
     }
 
-    /// Sets the intra-analysis worker count (`--par`): how many round
-    /// executor threads step each frontier. Purely an execution knob —
-    /// the response is byte-identical for any value — so it is not part
-    /// of the cache identity.
-    #[must_use]
-    pub fn par(mut self, par: usize) -> Self {
-        self.par = Some(par);
-        self
-    }
-
-    /// Sets the frontier schedule order (FIFO vs SCC/reverse-postorder
-    /// priority). Unlike `par`, this changes exploration order and hence
-    /// the response, so it splits the cache identity.
-    #[must_use]
-    pub fn order(mut self, order: crate::config::ScheduleOrder) -> Self {
-        self.order = Some(order);
-        self
-    }
-
     /// Sets the cooperative per-attempt deadline.
     #[must_use]
     pub fn timeout(mut self, timeout: Duration) -> Self {
@@ -469,12 +429,6 @@ impl AnalysisRequestBuilder {
         }
         if let Some(widen_delay) = self.widen_delay {
             cb = cb.widen_delay(widen_delay);
-        }
-        if let Some(par) = self.par {
-            cb = cb.intra_jobs(par);
-        }
-        if let Some(order) = self.order {
-            cb = cb.schedule_order(order);
         }
         let config = cb.build()?;
         let fault = self.fault.or_else(|| {
@@ -696,133 +650,10 @@ pub fn summary_json_line(summary: &BatchSummary, workers: usize, timing: bool) -
     out
 }
 
-/// A batch of requests run through the [`BatchAnalyzer`] fleet —
-/// submission order preserved, one [`AnalysisResponse`] per request.
-/// Deadlines and retries are fleet-level here
-/// ([`Self::timeout`] / [`Self::retries`]); a request's own `timeout`
-/// still overrides the fleet deadline per job, but per-request `retries`
-/// are ignored in batch mode (the fleet ladder applies uniformly so the
-/// report stays deterministic).
-#[derive(Debug)]
-pub struct RequestBatch {
-    analyzer: BatchAnalyzer,
-    clients: Vec<Client>,
-}
-
-impl Default for RequestBatch {
-    fn default() -> RequestBatch {
-        RequestBatch::new()
-    }
-}
-
-impl RequestBatch {
-    /// An empty batch (one worker, no deadline, no retries).
-    #[must_use]
-    pub fn new() -> RequestBatch {
-        RequestBatch {
-            analyzer: BatchAnalyzer::new(),
-            clients: Vec::new(),
-        }
-    }
-
-    /// Sets the worker count (clamped to at least 1).
-    #[must_use]
-    pub fn workers(mut self, workers: usize) -> RequestBatch {
-        self.analyzer = self.analyzer.workers(workers);
-        self
-    }
-
-    /// Sets the fleet-wide per-job deadline.
-    #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> RequestBatch {
-        self.analyzer = self.analyzer.timeout(timeout);
-        self
-    }
-
-    /// Sets the fleet-wide degraded-retry count.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> RequestBatch {
-        self.analyzer = self.analyzer.retries(retries);
-        self
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: AnalysisRequest) {
-        self.clients.push(request.config.client);
-        let mut job = BatchJob::new(
-            request.name.unwrap_or_default(),
-            request.program,
-            request.config,
-        );
-        if let Some(timeout) = request.timeout {
-            job = job.with_timeout(timeout);
-        }
-        if let Some(fault) = request.fault {
-            job = job.with_fault(fault);
-        }
-        self.analyzer.push(job);
-    }
-
-    /// Appends a pre-failed record (a request that could not even be
-    /// built — unparseable source, bad knobs); it flows through in its
-    /// submission slot as a [`JobOutcome::Error`] response rendered
-    /// under `client`.
-    pub fn push_error(
-        &mut self,
-        name: impl Into<String>,
-        message: impl Into<String>,
-        client: Client,
-    ) {
-        self.clients.push(client);
-        self.analyzer.push_error(name, message);
-    }
-
-    /// Number of queued requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.analyzer.len()
-    }
-
-    /// True if no requests are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.analyzer.is_empty()
-    }
-
-    /// Runs the batch. Deterministic apart from the timing fields, for
-    /// any worker count (see [`BatchAnalyzer::run`]).
-    #[must_use]
-    pub fn run(self) -> BatchResponse {
-        let report = self.analyzer.run();
-        let responses = report
-            .records
-            .into_iter()
-            .zip(self.clients)
-            .map(|(record, client)| AnalysisResponse::from_record(record, client))
-            .collect();
-        BatchResponse {
-            responses,
-            summary: report.summary,
-            workers: report.workers,
-        }
-    }
-}
-
-/// A completed [`RequestBatch`].
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct BatchResponse {
-    /// One response per request, in submission order.
-    pub responses: Vec<AnalysisResponse>,
-    /// Aggregated statistics.
-    pub summary: BatchSummary,
-    /// Number of workers the batch ran with.
-    pub workers: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::RequestBatch;
     use mpl_lang::corpus;
 
     fn fig2_request() -> AnalysisRequest {

@@ -6,7 +6,7 @@
 //! FIFO — the deterministic order the golden corpus pins byte-for-byte.
 //! The scheduler owns the three fixpoint policies of §VI:
 //!
-//! * **budgets** — the step budget and (via [`Scheduler::next`]'s polling)
+//! * **budgets** — the step budget and (via [`Scheduler::tick`]'s polling)
 //!   the cooperative deadline;
 //! * **delayed widening** — a recurring location is explored exactly for
 //!   the first `widen_delay` visits, then widened with thresholds until
@@ -16,11 +16,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use mpl_cfg::SccRanks;
 use mpl_runtime::CancelToken;
 
 use crate::client::ClientDomain;
-use crate::config::{AnalysisConfig, ScheduleOrder};
+use crate::config::AnalysisConfig;
 use crate::observer::AnalysisObserver;
 use crate::result::TopReason;
 use crate::state::AnalysisState;
@@ -80,15 +79,11 @@ pub struct Scheduler {
     max_steps: u64,
     widen_delay: u32,
     cancel: Option<CancelToken>,
-    order: ScheduleOrder,
-    /// SCC reverse-postorder node ranks, set by the engine when the
-    /// configured [`ScheduleOrder`] is `Priority`.
-    priority: Option<SccRanks>,
 }
 
 impl Scheduler {
     /// A scheduler configured from the engine knobs (step budget,
-    /// widening delay, cancellation token, frontier order).
+    /// widening delay, cancellation token).
     #[must_use]
     pub fn new(config: &AnalysisConfig) -> Scheduler {
         Scheduler {
@@ -101,15 +96,7 @@ impl Scheduler {
             max_steps: config.max_steps,
             widen_delay: config.widen_delay,
             cancel: config.cancel.clone(),
-            order: config.order,
-            priority: None,
         }
-    }
-
-    /// Installs the SCC reverse-postorder ranks that back the
-    /// `Priority` frontier order. A no-op under FIFO order.
-    pub fn set_priority(&mut self, ranks: SccRanks) {
-        self.priority = Some(ranks);
     }
 
     /// Interns the state's pCFG location, returning a stable by-value
@@ -182,72 +169,18 @@ impl Scheduler {
     /// cooperative deadline.
     pub fn tick(&mut self) -> Option<Result<AnalysisState, TopReason>> {
         let st = self.work.pop_front()?;
-        match self.count_step() {
-            Some(reason) => Some(Err(reason)),
-            None => Some(Ok(st)),
-        }
-    }
-
-    /// Counts one worklist step against the budgets — exactly the
-    /// accounting [`Self::tick`] performs after popping. The round-based
-    /// engine drains whole frontiers *without* counting (extraction is
-    /// speculative) and calls this once per item as the item's results
-    /// are merged, so step numbers, the budget cut-off and the
-    /// cancellation polling cadence are byte-identical to the historical
-    /// one-pop-one-tick loop for any worker count.
-    pub fn count_step(&mut self) -> Option<TopReason> {
         self.steps += 1;
         if self.steps > self.max_steps {
-            return Some(TopReason::StepBudget);
+            return Some(Err(TopReason::StepBudget));
         }
         if self.steps % CANCEL_CHECK_STEPS == 1 {
             if let Some(token) = &self.cancel {
                 if token.is_cancelled() {
-                    return Some(TopReason::Deadline);
+                    return Some(Err(TopReason::Deadline));
                 }
             }
         }
-        None
-    }
-
-    /// Drains the ready frontier: every queued state, in exploration
-    /// order, paired with its interned location key. Returns an empty
-    /// batch at fixpoint.
-    ///
-    /// The drain is capped at `remaining step budget + 1` items so a
-    /// parallel round never steps unboundedly many states the budget
-    /// check would discard (the `+ 1` lets the over-budget step surface
-    /// `TopReason::StepBudget` exactly as the sequential loop would).
-    /// Under [`ScheduleOrder::Priority`] the drained batch is stably
-    /// sorted by SCC reverse-postorder rank — a round-local reordering,
-    /// identical for every worker count.
-    pub fn drain_frontier(&mut self) -> Vec<(LocationKey, AnalysisState)> {
-        let remaining = self
-            .max_steps
-            .saturating_sub(self.steps)
-            .saturating_add(1)
-            .min(self.work.len() as u64);
-        let take = usize::try_from(remaining).unwrap_or(usize::MAX);
-        let mut batch = Vec::with_capacity(take);
-        for _ in 0..take {
-            let st = self.work.pop_front().expect("drain within queue length");
-            let key = self
-                .lookup(&st)
-                .expect("every queued state has an interned location");
-            batch.push((key, st));
-        }
-        if self.order == ScheduleOrder::Priority {
-            if let Some(ranks) = &self.priority {
-                batch.sort_by_key(|(_, st)| {
-                    st.psets
-                        .iter()
-                        .map(|p| ranks.rank(p.node))
-                        .min()
-                        .unwrap_or(u32::MAX)
-                });
-            }
-        }
-        batch
+        Some(Ok(st))
     }
 
     /// Offers a successor state for exploration.
@@ -443,72 +376,5 @@ mod cancel_tests {
         };
         let result = analyze(&prog.program, &config);
         assert!(matches!(result.verdict, Verdict::Top { .. }));
-    }
-}
-
-#[cfg(test)]
-mod frontier_order_tests {
-    use mpl_cfg::{Cfg, CfgNodeId, SccRanks};
-    use mpl_lang::corpus;
-
-    use super::Scheduler;
-    use crate::config::{AnalysisConfig, ScheduleOrder};
-    use crate::state::AnalysisState;
-
-    /// A scheduler seeded with one single-pset state per CFG node of the
-    /// fig. 2 program, in *descending* SCC-rank order — adversarial input
-    /// for a worklist that should explore in reverse postorder. Returns
-    /// the seeded node order alongside.
-    fn seeded_desc(order: ScheduleOrder) -> (Scheduler, SccRanks, Vec<CfgNodeId>) {
-        let prog = corpus::fig2_exchange();
-        let cfg = Cfg::build(&prog.program);
-        let ranks = SccRanks::compute(&cfg);
-        let mut nodes: Vec<CfgNodeId> = cfg.node_ids().collect();
-        nodes.sort_by_key(|n| std::cmp::Reverse(ranks.rank(*n)));
-        let config = AnalysisConfig::builder()
-            .schedule_order(order)
-            .build()
-            .expect("default-based config is valid");
-        let mut sched = Scheduler::new(&config);
-        if order == ScheduleOrder::Priority {
-            sched.set_priority(ranks.clone());
-        }
-        for &n in &nodes {
-            sched.seed(AnalysisState::initial(n, 4));
-        }
-        (sched, ranks, nodes)
-    }
-
-    fn drained_ranks(sched: &mut Scheduler, ranks: &SccRanks) -> Vec<u32> {
-        sched
-            .drain_frontier()
-            .iter()
-            .map(|(_, st)| ranks.rank(st.psets[0].node))
-            .collect()
-    }
-
-    #[test]
-    fn priority_drain_sorts_the_batch_by_scc_rank() {
-        let (mut sched, ranks, nodes) = seeded_desc(ScheduleOrder::Priority);
-        let seeded: Vec<u32> = nodes.iter().map(|n| ranks.rank(*n)).collect();
-        let drained = drained_ranks(&mut sched, &ranks);
-        let mut sorted = seeded.clone();
-        sorted.sort_unstable();
-        assert!(
-            seeded.windows(2).any(|w| w[0] > w[1]),
-            "the seed order must be adversarial for the test to bite"
-        );
-        assert_eq!(drained, sorted, "priority drain re-sorts by rank");
-        assert_ne!(drained, seeded, "the sort actually reordered the batch");
-    }
-
-    #[test]
-    fn fifo_drain_preserves_insertion_order() {
-        let (mut sched, ranks, nodes) = seeded_desc(ScheduleOrder::Fifo);
-        // FIFO must ignore the ranks even when they are installed.
-        sched.set_priority(ranks.clone());
-        let seeded: Vec<u32> = nodes.iter().map(|n| ranks.rank(*n)).collect();
-        let drained = drained_ranks(&mut sched, &ranks);
-        assert_eq!(drained, seeded, "FIFO drain is insertion-ordered");
     }
 }

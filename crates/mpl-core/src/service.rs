@@ -18,10 +18,13 @@
 //!
 //! | op         | fields                                                        |
 //! |------------|---------------------------------------------------------------|
-//! | `analyze`  | `program` (required source text), `name`, `client`, `client_id`, `min_np`, `max_steps`, `max_psets`, `timeout_ms`, `retries`, `par`, `order` (`"fifo"`/`"priority"`) |
+//! | `analyze`  | `program` (required source text), `name`, `client`, `client_id`, `min_np`, `max_steps`, `max_psets`, `timeout_ms`, `retries` |
 //! | `stats`    | —                                                             |
 //! | `ping`     | —                                                             |
 //! | `shutdown` | `mode` (`"abort"` default, or `"drain"`)                      |
+//!
+//! Fields not listed are ignored, so a request from an older client that
+//! still sends a retired knob gets the same answer as one without it.
 //!
 //! Every response line is a JSON object stamped with `"v"`. An
 //! `analyze` request answers with the *exact* program record `mpl
@@ -64,11 +67,12 @@ use std::time::{Duration, Instant};
 
 use mpl_runtime::{AdmissionGate, CancelToken, ClientQuotas, QuotaPolicy};
 
+use crate::batch::RequestBatch;
 use crate::cache::{CacheStats, ResultCache};
 use crate::config::AnalysisConfig;
 use crate::json::{json_escape, parse, JsonValue};
 use crate::persist::{CacheJournal, JournalStats};
-use crate::request::{AnalysisRequest, RequestBatch, PROTOCOL_VERSION};
+use crate::request::{AnalysisRequest, PROTOCOL_VERSION};
 
 /// Knobs for [`AnalysisService::open`].
 #[derive(Debug, Clone)]
@@ -695,24 +699,6 @@ impl AnalysisService {
             };
             builder = builder.retries(retries);
         }
-        if let Some(par) = uint_field(value, "par")? {
-            let Ok(par) = usize::try_from(par) else {
-                return Err(error_line("bad-request", "`par` out of range"));
-            };
-            builder = builder.par(par);
-        }
-        if let Some(order) = value.get("order") {
-            builder = match order.as_str() {
-                Some("fifo") => builder.order(crate::config::ScheduleOrder::Fifo),
-                Some("priority") => builder.order(crate::config::ScheduleOrder::Priority),
-                _ => {
-                    return Err(error_line(
-                        "bad-request",
-                        "`order` must be \"fifo\" or \"priority\"",
-                    ))
-                }
-            };
-        }
         builder
             .build()
             .map_err(|e| error_line(e.code(), &e.to_string()))
@@ -863,6 +849,11 @@ mod tests {
             .execute()
             .json_line(false);
         assert_eq!(cold.line(), direct);
+        // Old clients may still send the retired `par`/`order` knobs:
+        // ignored like any unknown field, so the same cached bytes.
+        let retired = line.replacen('{', "{\"par\":2,\"order\":\"priority\",", 1);
+        assert_eq!(svc.handle_line(&retired), cold);
+        assert_eq!(svc.cache_stats().hits, 2);
     }
 
     #[test]

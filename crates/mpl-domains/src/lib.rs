@@ -31,6 +31,5 @@ pub use constraint_graph::{splitmix64, ConstraintGraph, DEFAULT_WIDEN_THRESHOLDS
 pub use linexpr::LinExpr;
 pub use stats::{force_full_closure, set_force_full_closure, ClosureStats};
 pub use var::{
-    adopt_table, intern_name, reset_table, table_snapshot, with_table, NsVar, PsetId, VarId,
-    VarKind, VarTable, MAX_PSET_ID,
+    intern_name, reset_table, with_table, NsVar, PsetId, VarId, VarKind, VarTable, MAX_PSET_ID,
 };

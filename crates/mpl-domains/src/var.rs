@@ -388,28 +388,6 @@ pub fn reset_table() {
     with_table(VarTable::reset);
 }
 
-/// A clone of the calling thread's interner, for handing to worker
-/// threads via [`adopt_table`].
-///
-/// Packed [`VarId`] words only mean the same thing on two threads when
-/// both threads' tables map the same indices to the same names. The
-/// parallel round executor snapshots the coordinating thread's table
-/// once per round and has each worker adopt it before stepping, so every
-/// id produced on a worker resolves identically on the main thread.
-#[must_use]
-pub fn table_snapshot() -> VarTable {
-    with_table(|t| t.clone())
-}
-
-/// Replaces the calling thread's interner with `table` (see
-/// [`table_snapshot`]).
-///
-/// Any `VarId` produced on this thread before the adoption is
-/// invalidated unless the adopted table is a superset of the old one.
-pub fn adopt_table(table: VarTable) {
-    with_table(|t| *t = table);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,11 @@
 //!
 //! For-loop headers also accept `=` in place of `:=` so the paper's
 //! `for i=1 to np-1` parses verbatim.
+//!
+//! Nesting — parenthesised and unary sub-expressions plus `if`/`while`/
+//! `for` bodies, counted together — is capped at [`MAX_NESTING`], so a
+//! hostile input is a [`ParseError`] rather than a stack overflow here or
+//! in the recursive passes (CFG build, analysis, rendering) downstream.
 
 use std::error::Error;
 use std::fmt;
@@ -60,12 +65,35 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting [`parse_program`] accepts. A program exactly at
+/// the cap still parses, analyzes and renders on a thread with the
+/// default 2 MiB stack (an `mpl serve` connection) with twice the depth
+/// to spare: an unoptimized build runs out near 260 nested `if`s or 310
+/// nested parentheses.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nested sub-expressions and blocks open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing at [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error_here(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -144,52 +172,24 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.peek().span;
-        let kind = match self.peek().kind.clone() {
-            TokenKind::If => {
-                self.bump();
-                let cond = self.parse_expr()?;
-                self.expect(&TokenKind::Then)?;
-                let then_branch = self.parse_block(&[TokenKind::Else, TokenKind::End])?;
-                let else_branch = if self.eat(&TokenKind::Else) {
-                    self.parse_block(&[TokenKind::End])?
-                } else {
-                    Vec::new()
-                };
-                self.expect(&TokenKind::End)?;
-                StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                }
+        // Compound statements recurse through a frame of their own, so
+        // the simple statements' locals stay off the nesting path.
+        let kind = match self.peek().kind {
+            TokenKind::If | TokenKind::While | TokenKind::For => {
+                self.nested(Parser::parse_compound)?
             }
-            TokenKind::While => {
-                self.bump();
-                let cond = self.parse_expr()?;
-                self.expect(&TokenKind::Do)?;
-                let body = self.parse_block(&[TokenKind::End])?;
-                self.expect(&TokenKind::End)?;
-                StmtKind::While { cond, body }
-            }
-            TokenKind::For => {
-                self.bump();
-                let (var, _) = self.expect_ident()?;
-                // Accept both `:=` and `=` in for headers.
-                if !self.eat(&TokenKind::Assign) {
-                    self.expect(&TokenKind::Eq)?;
-                }
-                let from = self.parse_expr()?;
-                self.expect(&TokenKind::To)?;
-                let to = self.parse_expr()?;
-                self.expect(&TokenKind::Do)?;
-                let body = self.parse_block(&[TokenKind::End])?;
-                self.expect(&TokenKind::End)?;
-                StmtKind::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                }
-            }
+            _ => self.parse_simple()?,
+        };
+        let end = self.tokens[self.pos.saturating_sub(1)].span;
+        Ok(Stmt {
+            kind,
+            span: start.merge(end),
+        })
+    }
+
+    /// Parses a statement that contains no block.
+    fn parse_simple(&mut self) -> Result<StmtKind, ParseError> {
+        Ok(match self.peek().kind.clone() {
             TokenKind::Send => {
                 self.bump();
                 let value = self.parse_expr()?;
@@ -235,11 +235,55 @@ impl Parser {
                     self.error_here(&format!("expected a statement, found {}", other.describe()))
                 )
             }
-        };
-        let end = self.tokens[self.pos.saturating_sub(1)].span;
-        Ok(Stmt {
-            kind,
-            span: start.merge(end),
+        })
+    }
+
+    /// Parses an `if`, `while` or `for` statement, body included.
+    fn parse_compound(&mut self) -> Result<StmtKind, ParseError> {
+        Ok(match self.bump().kind {
+            TokenKind::If => {
+                let cond = self.parse_expr()?;
+                self.expect(&TokenKind::Then)?;
+                let then_branch = self.parse_block(&[TokenKind::Else, TokenKind::End])?;
+                let else_branch = if self.eat(&TokenKind::Else) {
+                    self.parse_block(&[TokenKind::End])?
+                } else {
+                    Vec::new()
+                };
+                self.expect(&TokenKind::End)?;
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                }
+            }
+            TokenKind::While => {
+                let cond = self.parse_expr()?;
+                self.expect(&TokenKind::Do)?;
+                let body = self.parse_block(&[TokenKind::End])?;
+                self.expect(&TokenKind::End)?;
+                StmtKind::While { cond, body }
+            }
+            // `for`: the only other compound statement.
+            _ => {
+                let (var, _) = self.expect_ident()?;
+                // Accept both `:=` and `=` in for headers.
+                if !self.eat(&TokenKind::Assign) {
+                    self.expect(&TokenKind::Eq)?;
+                }
+                let from = self.parse_expr()?;
+                self.expect(&TokenKind::To)?;
+                let to = self.parse_expr()?;
+                self.expect(&TokenKind::Do)?;
+                let body = self.parse_block(&[TokenKind::End])?;
+                self.expect(&TokenKind::End)?;
+                StmtKind::For {
+                    var,
+                    from,
+                    to,
+                    body,
+                }
+            }
         })
     }
 
@@ -267,7 +311,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&TokenKind::Not) {
-            let e = self.parse_not()?;
+            let e = self.nested(Parser::parse_not)?;
             Ok(Expr::Unary(UnOp::Not, Box::new(e)))
         } else {
             self.parse_cmp()
@@ -321,7 +365,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&TokenKind::Minus) {
-            let e = self.parse_unary()?;
+            let e = self.nested(Parser::parse_unary)?;
             // Constant-fold negative literals so `-1` is `Int(-1)`.
             if let Expr::Int(n) = e {
                 return Ok(Expr::Int(-n));
@@ -360,7 +404,7 @@ impl Parser {
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Parser::parse_expr)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
@@ -386,7 +430,11 @@ impl Parser {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.parse_program()
 }
 
@@ -550,6 +598,39 @@ mod tests {
     #[test]
     fn empty_program_parses() {
         assert!(parse_program("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let parens = |k: usize| format!("x := {}1{};", "(".repeat(k), ")".repeat(k));
+        let negs = |k: usize| format!("x := {}y;", "- ".repeat(k));
+        let ifs = |k: usize| format!("{}skip;{}", "if x then ".repeat(k), " end".repeat(k));
+        let fors = |k: usize| {
+            format!(
+                "{}skip;{}",
+                "for i := 0 to 1 do ".repeat(k),
+                " end".repeat(k)
+            )
+        };
+        for nest in [parens, negs, ifs, fors] {
+            assert!(parse_program(&nest(MAX_NESTING)).is_ok());
+            let err = parse_program(&nest(MAX_NESTING + 1)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            // Far past the cap: an error, not a stack overflow.
+            assert!(parse_program(&nest(200_000)).is_err());
+        }
+        // Sub-expressions and blocks count towards one shared depth.
+        let half = MAX_NESTING / 2;
+        let mixed = |k: usize| {
+            format!(
+                "{}{}{}",
+                "while x do ".repeat(half),
+                parens(k),
+                " end".repeat(half)
+            )
+        };
+        assert!(parse_program(&mixed(MAX_NESTING - half)).is_ok());
+        assert!(parse_program(&mixed(MAX_NESTING - half + 1)).is_err());
     }
 }
 

@@ -39,10 +39,8 @@ pub mod cancel;
 pub mod deque;
 pub mod gate;
 pub mod pool;
-pub mod round;
 
 pub use cancel::CancelToken;
 pub use deque::StealDeque;
 pub use gate::{AdmissionGate, ClientQuotas, Permit, QuotaPolicy};
 pub use pool::{panic_message, run_ordered, JobFailure, Pool, PoolStats};
-pub use round::{RoundExecutor, RoundStats};

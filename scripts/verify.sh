@@ -28,20 +28,6 @@ par_json=$("$MPL" analyze-corpus --jobs 4 --json)
 diff <(printf '%s\n' "$seq_json") <(printf '%s\n' "$par_json") \
   || { echo "analyze-corpus --json output differs between jobs=1 and jobs=4"; exit 1; }
 
-echo "== frontier-parallel determinism (--par 4 vs sequential) =="
-# The two-tier round executor must be invisible in the output: the whole
-# corpus report — verdicts, steps, matches, closure counters — is byte-
-# identical whether rounds run inline or across 4 pool workers, and the
-# priority schedule is likewise deterministic at any worker count.
-par_seq=$("$MPL" analyze-corpus --json)
-par_par=$("$MPL" analyze-corpus --json --par 4)
-diff <(printf '%s\n' "$par_seq") <(printf '%s\n' "$par_par") \
-  || { echo "analyze-corpus output differs between --par 1 and --par 4"; exit 1; }
-pri_seq=$("$MPL" analyze-corpus --json --order priority)
-pri_par=$("$MPL" analyze-corpus --json --order priority --par 4)
-diff <(printf '%s\n' "$pri_seq") <(printf '%s\n' "$pri_par") \
-  || { echo "analyze-corpus --order priority differs between --par 1 and --par 4"; exit 1; }
-
 echo "== analyze-corpus golden JSON (byte-identical) =="
 # The corpus report is a public, deterministic artifact: any refactor of
 # the engine/scheduler/observer layering must reproduce it byte for
@@ -87,15 +73,28 @@ if "$MPL" analyze-corpus --dir "$smoke_dir" --jobs 4 --timeout-ms 200 >/dev/null
   echo "expected nonzero exit without --keep-going"; exit 1
 fi
 
+echo "== hostile-input smoke (20k-deep nesting) =="
+# Nesting 20k deep used to overflow the stack and abort the process. It
+# is a parse error now: `mpl analyze` exits 2 (not a signal's 128+N),
+# and the serve smoke below sends the same file to its daemon.
+deep_parens="$smoke_dir/deep_parens.mpl"
+deep_ifs="$smoke_dir/deep_ifs.mpl"
+{ printf 'x := '; printf '(%.0s' $(seq 20000); printf '1'; printf ')%.0s' $(seq 20000); printf ';\n'; } \
+  > "$deep_parens"
+{ printf 'if x < 1 then\n%.0s' $(seq 20000); printf 'y := 1;\n'; printf 'end\n%.0s' $(seq 20000); } \
+  > "$deep_ifs"
+for deep in "$deep_parens" "$deep_ifs"; do
+  code=0
+  "$MPL" analyze "$deep" >/dev/null 2>&1 || code=$?
+  [ "$code" = 2 ] || { echo "mpl analyze $(basename "$deep") exited $code, expected 2"; exit 1; }
+done
+
 echo "== per-phase profiler smoke (E18) =="
 # The phase breakdown must account for the measured wall clock: on every
 # program out of timer noise, |transfer+match+join/widen+admission -
 # total| <= 10% of total. `--check` exits nonzero otherwise.
 cargo build -q --release -p mpl-bench --offline
 target/release/profile --check | tail -n 8
-# Under --par the breakdown gains the round-wait/round-merge phases;
-# the same coverage invariant must keep holding.
-target/release/profile --check --par 4 | tail -n 4
 
 echo "== serve daemon smoke (cache + byte-identity) =="
 # Start a daemon, fire concurrent requests at it, and hold it to the
@@ -126,6 +125,13 @@ done
 stats=$("$MPL" client --socket "$sock" --op stats)
 hits=$(grep -o '"hits":[0-9]*' <<< "$stats" | grep -o '[0-9]*')
 [ "$hits" -ge 1 ] || { echo "expected >= 1 cache hit, got: $stats"; exit 1; }
+# The 20k-deep program gets a structured parse error, and the daemon
+# survives it to answer a ping.
+deep_reply=$("$MPL" client --socket "$sock" --file "$deep_parens" || true)
+grep -q '"code":"parse-error"' <<< "$deep_reply" \
+  || { echo "nested request was not a parse-error: $deep_reply"; exit 1; }
+"$MPL" client --socket "$sock" --op ping | grep -q '"type":"pong"' \
+  || { echo "serve daemon stopped answering after the nested request"; exit 1; }
 "$MPL" client --socket "$sock" --op shutdown >/dev/null
 wait "$serve_pid" || { echo "serve daemon exited nonzero"; exit 1; }
 grep -q '"type":"shutdown-summary"' "$smoke_dir/serve.log" \
@@ -204,7 +210,5 @@ BENCH_STATE_SHARING_JSON="$PWD/BENCH_state_sharing.json" \
   cargo bench -q -p mpl-bench --bench state_sharing --offline >/dev/null
 grep -q '"bench":"state_sharing"' BENCH_state_sharing.json \
   || { echo "BENCH_state_sharing.json missing or malformed"; exit 1; }
-grep -q '"par_jobs":4' BENCH_state_sharing.json \
-  || { echo "BENCH_state_sharing.json missing par_jobs scaling rows"; exit 1; }
 
 echo "verify: OK"

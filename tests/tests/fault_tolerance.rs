@@ -8,27 +8,51 @@ use std::time::Duration;
 
 use mpl_core::engine::{analyze, AnalysisConfig, AnalysisResult};
 use mpl_core::{
-    BatchAnalyzer, BatchJob, BatchReport, Fault, JobOutcome, TopReason, Verdict, CANCEL_CHECK_STEPS,
+    AnalysisRequest, BatchResponse, Fault, JobOutcome, RequestBatch, TopReason, Verdict,
+    CANCEL_CHECK_STEPS,
 };
 use mpl_lang::corpus;
 use mpl_runtime::{CancelToken, Pool};
 
+/// A named default-config request for `program`, optionally faulted.
+fn request(name: &str, program: mpl_lang::ast::Program, fault: Option<Fault>) -> AnalysisRequest {
+    let mut builder = AnalysisRequest::builder().name(name).program(program);
+    if let Some(fault) = fault {
+        builder = builder.fault(fault);
+    }
+    builder.build().expect("valid request")
+}
+
+/// A batch of the whole built-in corpus at `workers` workers.
+fn corpus_batch(workers: usize) -> RequestBatch {
+    let mut batch = RequestBatch::new().workers(workers);
+    for prog in corpus::all() {
+        batch.push(request(prog.name, prog.program, None));
+    }
+    batch
+}
+
 /// The deterministic fields of a record, one line per record.
-fn fingerprint(report: &BatchReport) -> Vec<String> {
+fn fingerprint(report: &BatchResponse) -> Vec<String> {
     report
-        .records
+        .responses
         .iter()
         .map(|rec| match &rec.result {
             Some(result) => format!(
                 "{} [{}] verdict={:?} matches={:?} leaks={:?} steps={}",
-                rec.name,
+                rec.name.as_deref().unwrap_or_default(),
                 rec.outcome.code(),
                 result.verdict,
                 result.matches,
                 result.leaks,
                 result.steps
             ),
-            None => format!("{} [{}] {}", rec.name, rec.outcome.code(), rec.outcome),
+            None => format!(
+                "{} [{}] {}",
+                rec.name.as_deref().unwrap_or_default(),
+                rec.outcome.code(),
+                rec.outcome
+            ),
         })
         .collect()
 }
@@ -86,29 +110,17 @@ fn cancelled_engine_stops_within_the_polling_interval() {
 #[test]
 fn deadline_records_are_identical_across_worker_counts() {
     let report_at = |workers: usize| {
-        let mut batch = BatchAnalyzer::new()
-            .workers(workers)
-            .timeout(Duration::from_millis(500));
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
+        let mut batch = corpus_batch(workers).timeout(Duration::from_millis(500));
         // Two spinners exercise the deadline under contention.
         let spin = corpus::fig2_exchange();
         for name in ["spin_a", "spin_b"] {
-            batch.push(
-                BatchJob::new(name, spin.program.clone(), AnalysisConfig::default())
-                    .with_fault(Fault::Spin),
-            );
+            batch.push(request(name, spin.program.clone(), Some(Fault::Spin)));
         }
         batch.run()
     };
     let seq = report_at(1);
     assert_eq!(seq.summary.timed_out, 2);
-    for rec in &seq.records {
+    for rec in &seq.responses {
         if rec.outcome == JobOutcome::TimedOut {
             let result = rec.result.as_ref().expect("timed-out records carry ⊤");
             assert!(matches!(
@@ -297,45 +309,25 @@ fn acceptance_corpus_panic_plus_spin_under_contention() {
 fn injected_panic_is_invisible_to_the_rest_of_the_batch() {
     // A clean batch and one with an extra poisoned job: every shared
     // record must be identical — the panic cannot perturb neighbors.
-    let clean = {
-        let mut batch = BatchAnalyzer::new().workers(4);
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
-        batch.run()
-    };
+    let clean = corpus_batch(4).run();
     let poisoned = {
-        let mut batch = BatchAnalyzer::new().workers(4);
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
-        batch.push(
-            BatchJob::new(
-                "poison",
-                corpus::fig2_exchange().program,
-                AnalysisConfig::default(),
-            )
-            .with_fault(Fault::Panic),
-        );
+        let mut batch = corpus_batch(4);
+        batch.push(request(
+            "poison",
+            corpus::fig2_exchange().program,
+            Some(Fault::Panic),
+        ));
         batch.run()
     };
-    let n = clean.records.len();
-    assert_eq!(poisoned.records.len(), n + 1);
+    let n = clean.responses.len();
+    assert_eq!(poisoned.responses.len(), n + 1);
     assert_eq!(
         fingerprint(&clean),
         fingerprint(&poisoned)[..n],
         "the poisoned job leaked into its neighbors"
     );
     assert!(matches!(
-        poisoned.records[n].outcome,
+        poisoned.responses[n].outcome,
         JobOutcome::Panicked { .. }
     ));
 }
