@@ -196,6 +196,18 @@ fn binary_rejects_deeply_nested_input_with_exit_2() {
 }
 
 #[test]
+fn binary_rejects_tall_flat_expression_with_exit_2() {
+    // A flat 100k-term chain parses without nesting, but the passes after
+    // the parser recurse over its 100k-deep tree: it used to overflow the
+    // stack (SIGABRT, exit 134). It is a parse error now.
+    let source = format!("x := {};\n", vec!["1"; 100_000].join(" + "));
+    let (_, stderr, code) = run_mpl(&["analyze"], &source);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("parse error"), "{stderr}");
+    assert!(stderr.contains("expression taller than"), "{stderr}");
+}
+
+#[test]
 fn binary_serve_end_to_end_over_unix_socket() {
     use std::io::{BufRead as _, BufReader, Read as _};
     use std::process::Stdio;

@@ -341,6 +341,11 @@ fn nested_parens(depth: usize) -> String {
     format!("x := {}1{};\n", "(".repeat(depth), ")".repeat(depth))
 }
 
+/// One assignment of the flat chain `1 + 1 + … + 1` of `terms` terms.
+fn flat_chain(terms: usize) -> String {
+    format!("x := {};\n", vec!["1"; terms].join(" + "))
+}
+
 /// `depth` nested `if` blocks around one assignment.
 fn nested_ifs(depth: usize) -> String {
     format!(
@@ -352,7 +357,7 @@ fn nested_ifs(depth: usize) -> String {
 
 #[test]
 fn nested_input_gets_structured_errors_and_daemon_stays_up() {
-    use mpl_lang::parser::MAX_NESTING;
+    use mpl_lang::parser::{MAX_EXPR_HEIGHT, MAX_NESTING};
 
     let dir = scratch("nested");
     let daemon = spawn_daemon(&dir, &[]);
@@ -387,6 +392,21 @@ fn nested_input_gets_structured_errors_and_daemon_stays_up() {
         assert!(reply.contains("\"code\":\"parse-error\""), "{reply}");
     }
     pong(&daemon.sock);
+
+    // A flat 100k-term chain is nested nowhere but is 100k operators
+    // tall; it used to overflow the stack past the parser.
+    let tall = analyze_request(&flat_chain(100_000));
+    let reply = round_trip(&daemon.sock, &tall);
+    assert!(reply.contains("\"code\":\"parse-error\""), "{reply}");
+    assert!(reply.contains("expression taller than"), "{reply}");
+    pong(&daemon.sock);
+    // A chain exactly at the height cap still analyzes on a connection
+    // thread.
+    let reply = round_trip(
+        &daemon.sock,
+        &analyze_request(&flat_chain(MAX_EXPR_HEIGHT + 1)),
+    );
+    assert!(reply.contains("\"verdict\":\"exact\""), "{reply}");
 
     shutdown_clean(daemon);
     let _ = std::fs::remove_dir_all(&dir);

@@ -252,15 +252,18 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         if s.cg.is_bottom() || s.psets.is_empty() {
             return false; // Infeasible path.
         }
-        if !s.drop_empty_psets() {
-            // A possibly-empty set would make matching unsound.
-            // Keep going only if it never participates in a
-            // match; conservatively we continue (matching demands
-            // provable non-emptiness anyway).
-        }
+        // A possibly-empty set is kept: matching demands provable
+        // non-emptiness anyway.
+        let offered = s.psets.len();
+        s.drop_empty_psets();
         let before = s.psets.len();
         self.domain.join(s);
-        s.drop_empty_psets();
+        // The join hook only merges sets. When nothing was dropped or
+        // merged, the graph and ranges are those the first pass just
+        // judged, so a second pass would find nothing to drop.
+        if s.psets.len() < offered {
+            s.drop_empty_psets();
+        }
         if s.psets.len() < before {
             self.observer.on_merge(before, s.psets.len());
         }
@@ -284,7 +287,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             s.psets[i].range = range;
         }
         // Close once more so the state is admitted transitively closed:
-        // equal states then share one fingerprint (the O(1) dedup path),
+        // equal states then share one fingerprint (the dedup fast path),
         // and later match probes against it are read-only — no CoW copy.
         s.cg.close();
         true

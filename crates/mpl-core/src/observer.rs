@@ -31,9 +31,11 @@ use crate::state::AnalysisState;
 /// The phases partition the worklist loop body: `transfer` (advancing
 /// unblocked process sets), `matching` (blocked steps: send–receive
 /// matching, ambiguity splits, pending-send promotion), `join_widen`
-/// (successor normalization: closure, empty-set dropping, merging,
-/// canonical renumbering, bound saturation) and `admission` (dedup /
-/// widening against stored states, including the state clones it takes).
+/// (successor normalization: closure, empty-set dropping, process-set
+/// merging — the state-level join — canonical renumbering, bound
+/// saturation; printed as `join/widen`, though no widening happens in
+/// it) and `admission` (fingerprinting, dedup and the widening against
+/// stored states, including the state clones it takes).
 /// Their sum is the loop body; `total` additionally covers worklist
 /// bookkeeping, so `sum ≈ total` within a few percent.
 ///
@@ -47,10 +49,12 @@ pub struct EngineProfile {
     pub transfer: Duration,
     /// Time in blocked steps: matching, ambiguity splits, promotions.
     pub matching: Duration,
-    /// Time normalizing successor states (close / merge / renumber /
-    /// saturate).
+    /// Time normalizing successor states (close / drop empty sets /
+    /// merge / renumber / saturate). The name is historical: the
+    /// widening itself is timed under `admission`.
     pub join_widen: Duration,
-    /// Time admitting successors (clone + dedup + widening).
+    /// Time admitting successors (fingerprint + dedup + widening +
+    /// clone).
     pub admission: Duration,
     /// Wall-clock time of the whole engine run.
     pub total: Duration,

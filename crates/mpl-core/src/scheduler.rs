@@ -192,10 +192,15 @@ impl Scheduler {
     /// `Some(TopReason::AbstractionLoss)` when widening relaxed a
     /// process-set bound to ±∞.
     ///
-    /// Dedup is O(1) in the common no-new-info case: the offered state's
-    /// fingerprint is compared against the fingerprint cached with the
-    /// stored state, and only a mismatch falls back to the full
-    /// [`AnalysisState::same_as_slow`] walk.
+    /// Dedup compares fingerprints first: the candidate's (the offered
+    /// state before widening starts, the widened state after) against
+    /// the one cached with the stored state, and only a mismatch falls
+    /// back to the full [`AnalysisState::same_as_slow`] walk. Each
+    /// candidate's fingerprint is computed at most once — one O(n²) pass
+    /// over its constraint graph
+    /// ([`mpl_domains::ConstraintGraph::fingerprint`]) plus a
+    /// hash of the other components — and the stored one is never
+    /// recomputed.
     pub fn admit<O: AnalysisObserver>(
         &mut self,
         s: AnalysisState,
@@ -203,8 +208,8 @@ impl Scheduler {
         thresholds: &[i64],
         observer: &mut O,
     ) -> Option<TopReason> {
-        let s_fp = s.fingerprint();
         let Some(key) = self.lookup(&s) else {
+            let s_fp = s.fingerprint();
             self.insert_slot(&s, s_fp);
             self.work.push_back(s);
             return None;
@@ -215,6 +220,7 @@ impl Scheduler {
             // Delayed widening: explore the state exactly (bounded
             // concrete chains finish precisely), but stop if nothing
             // changed.
+            let s_fp = s.fingerprint();
             if s_fp == slot.fp {
                 debug_assert!(
                     s.structurally_eq(&slot.state),

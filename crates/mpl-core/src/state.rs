@@ -255,26 +255,9 @@ impl AnalysisState {
         let (a, b) = (self.psets[i].id, self.psets[j].id);
         let node = self.psets[i].node;
         let m = self.fresh_id();
-        // Per-variable join of the two namespaces: project each side down
-        // to one namespace renamed to `m`, then join pointwise.
-        let mut a_side = self.cg.clone();
-        a_side.drop_namespace(b);
-        a_side.rename_namespace(a, m);
-        let mut b_side = self.cg.clone();
-        b_side.drop_namespace(a);
-        b_side.rename_namespace(b, m);
-        self.cg = a_side.join(&b_side).into();
-        let mut ca = {
-            let mut c = (*self.consts).clone();
-            c.drop_namespace(b);
-            c.rename_namespace(a, m)
-        };
-        let cb = {
-            let mut c = (*self.consts).clone();
-            c.drop_namespace(a);
-            c.rename_namespace(b, m)
-        };
-        ca = ca.join(&cb);
+        // Per-variable join of the two namespaces into `m`.
+        self.cg = self.cg.merge_namespaces(a, b, m).into();
+        let merged_consts = self.consts.merge_namespaces(a, b, m);
         // Uniformity across the merged set: both halves uniform and
         // pinned to the same constant.
         let merged_uniform: Vec<VarId> = self
@@ -291,7 +274,7 @@ impl AnalysisState {
                 (cva == cvb).then(|| v.renamed(a, m))
             })
             .collect();
-        self.consts = ca.into();
+        self.consts = merged_consts.into();
         self.uniform
             .retain(|v| v.namespace() != Some(a) && v.namespace() != Some(b));
         self.uniform.extend(merged_uniform);
@@ -326,60 +309,52 @@ impl AnalysisState {
     /// required so recurring pCFG locations compare equal across loop
     /// iterations.
     pub fn renumber_canonical(&mut self) {
-        // Cached keys: each range is rendered once, not O(p log p) times.
-        self.psets
-            .sort_by_cached_key(|p| (p.node, p.range.to_string(), p.pending.is_some()));
-        // Already canonical (the steady state once the analysis reaches a
-        // loop's fixpoint): every rename below would be the identity, so
-        // skip the two O(p) rename sweeps over graph, consts and ranges.
-        if self
+        // Cached keys: each range is rendered once, not O(p log p) times,
+        // and only when another set shares its node — the rendering only
+        // breaks node ties.
+        let nodes: Vec<CfgNodeId> = self.psets.iter().map(|p| p.node).collect();
+        self.psets.sort_by_cached_key(|p| {
+            let tied = nodes.iter().filter(|&&n| n == p.node).count() > 1;
+            let range = if tied {
+                p.range.to_string()
+            } else {
+                String::new()
+            };
+            (p.node, range, p.pending.is_some())
+        });
+        // One simultaneous rename of every namespace, old id → position.
+        let map: Vec<(PsetId, PsetId)> = self
             .psets
             .iter()
             .enumerate()
-            .all(|(k, p)| p.id.0 == k as u32)
-        {
-            self.next_id = self.psets.len() as u32;
+            .map(|(k, p)| (p.id, PsetId(k as u32)))
+            .filter(|(from, to)| from != to)
+            .collect();
+        self.next_id = self.psets.len() as u32;
+        if map.is_empty() {
+            // Already canonical: the steady state once the analysis
+            // reaches a loop's fixpoint.
             return;
         }
-        // Two-phase rename to avoid collisions. The temporary band sits
-        // just below the packed VarId's 16-bit pset-id ceiling; live ids
-        // are reset to 0.. right below, so the band is never reached by
-        // real allocations.
-        const TMP: u32 = 1 << 15;
-        let olds: Vec<PsetId> = self.psets.iter().map(|p| p.id).collect();
-        for (k, &old) in olds.iter().enumerate() {
-            let tmp = PsetId(TMP + k as u32);
-            self.rename_everywhere(old, tmp);
-        }
-        for k in 0..olds.len() {
-            let tmp = PsetId(TMP + k as u32);
-            let fin = PsetId(k as u32);
-            self.rename_everywhere(tmp, fin);
-        }
-        self.next_id = self.psets.len() as u32;
-    }
-
-    fn rename_everywhere(&mut self, from: PsetId, to: PsetId) {
-        self.cg.rename_namespace(from, to);
-        self.consts = self.consts.rename_namespace(from, to).into();
-        let renamed: BTreeSet<VarId> = self.uniform.iter().map(|v| v.renamed(from, to)).collect();
-        self.uniform = renamed.into();
-        for p in &mut self.psets {
+        self.cg.renumber_namespaces(&map);
+        self.consts = self.consts.renumber_namespaces(&map).into();
+        let uniform: BTreeSet<VarId> = self.uniform.iter().map(|v| v.renumbered(&map)).collect();
+        self.uniform = uniform.into();
+        let moved = |v: VarId| v.renumbered(&map) != v;
+        for (k, p) in self.psets.iter_mut().enumerate() {
             // Skip untouched sets so their `Shared` handle stays shared.
-            let touches = p.id == from
+            let touches = p.id.0 != k as u32
                 || p.range
                     .lb
                     .exprs()
                     .iter()
                     .chain(p.range.ub.exprs())
-                    .any(|e| e.var.is_some_and(|v| v.namespace() == Some(from)));
+                    .any(|e| e.var.is_some_and(moved));
             if !touches {
                 continue;
             }
-            if p.id == from {
-                p.id = to;
-            }
-            p.range = p.range.renamed(from, to);
+            p.id = PsetId(k as u32);
+            p.range = p.range.renumbered(&map);
         }
     }
 
@@ -434,11 +409,11 @@ impl AnalysisState {
     ///
     /// Fast path: equal [`AnalysisState::fingerprint`]s mean structural
     /// equality (identical recorded content), which implies the full
-    /// semantic check below — so the common no-new-info admission is
-    /// O(1). Unequal fingerprints fall back to
-    /// [`AnalysisState::same_as_slow`], since structurally different
-    /// states can still be semantically equal (one may simply not be
-    /// closed yet).
+    /// semantic check below — so a no-new-info state costs two
+    /// fingerprint passes, not an entailment walk. Unequal fingerprints
+    /// fall back to [`AnalysisState::same_as_slow`], since structurally
+    /// different states can still be semantically equal (one may simply
+    /// not be closed yet).
     #[must_use]
     pub fn same_as(&self, other: &AnalysisState) -> bool {
         if self.fingerprint() == other.fingerprint() {

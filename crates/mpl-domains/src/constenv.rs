@@ -94,13 +94,49 @@ impl ConstEnv {
     /// Renames every variable of namespace `from` into `to`.
     #[must_use]
     pub fn rename_namespace(&self, from: PsetId, to: PsetId) -> ConstEnv {
+        self.renumber_namespaces(&[(from, to)])
+    }
+
+    /// Renames namespaces simultaneously by `map` (see
+    /// [`VarId::renumbered`]) in one pass.
+    #[must_use]
+    pub fn renumber_namespaces(&self, map: &[(PsetId, PsetId)]) -> ConstEnv {
         ConstEnv {
             vals: self
                 .vals
                 .iter()
-                .map(|(k, v)| (k.renamed(from, to), *v))
+                .map(|(k, v)| (k.renumbered(map), *v))
                 .collect(),
         }
+    }
+
+    /// Joins namespaces `a` and `b` into the fresh namespace `m` in one
+    /// pass: `m.x` is the constant `a.x` and `b.x` agree on, and unknown
+    /// when they disagree or only one side has it; every variable outside
+    /// `a` and `b` is kept. The same as joining the environment without
+    /// `b` renamed from `a` to `m` with the environment without `a`
+    /// renamed from `b` to `m`.
+    #[must_use]
+    pub fn merge_namespaces(&self, a: PsetId, b: PsetId, m: PsetId) -> ConstEnv {
+        let mut vals = BTreeMap::new();
+        for (&k, &v) in &self.vals {
+            match k.namespace() {
+                Some(p) if p == a => {
+                    let merged = match (v, self.vals.get(&k.renamed(a, b))) {
+                        (ConstVal::Known(x), Some(&ConstVal::Known(y))) if x == y => v,
+                        _ => ConstVal::Unknown,
+                    };
+                    vals.insert(k.renamed(a, m), merged);
+                }
+                Some(p) if p == b => {
+                    vals.entry(k.renamed(b, m)).or_insert(ConstVal::Unknown);
+                }
+                _ => {
+                    vals.insert(k, v);
+                }
+            }
+        }
+        ConstEnv { vals }
     }
 
     /// Copies every variable of namespace `src` into namespace `dst`.
@@ -214,6 +250,36 @@ mod tests {
         e2.drop_namespace(PsetId(1));
         assert_eq!(e2.get(v(1, "x")), None);
         assert_eq!(e2.const_of(v(3, "x")), Some(2));
+    }
+
+    #[test]
+    fn merge_namespaces_matches_projected_join() {
+        let mut e = ConstEnv::new();
+        e.set_const(v(0, "same"), 1);
+        e.set_const(v(1, "same"), 1);
+        e.set_const(v(0, "differ"), 2);
+        e.set_const(v(1, "differ"), 3);
+        e.set_const(v(0, "only_a"), 4);
+        e.set_const(v(1, "only_b"), 5);
+        e.set_unknown(v(0, "unknown"));
+        e.set_const(v(1, "unknown"), 6);
+        e.set_const(v(2, "other"), 7);
+        e.set_const(NsVar::Global("g".into()), 8);
+        for (a, b) in [(PsetId(0), PsetId(1)), (PsetId(1), PsetId(0))] {
+            let m = PsetId(9);
+            let mut a_side = e.clone();
+            a_side.drop_namespace(b);
+            let mut b_side = e.clone();
+            b_side.drop_namespace(a);
+            let want = a_side
+                .rename_namespace(a, m)
+                .join(&b_side.rename_namespace(b, m));
+            let got = e.merge_namespaces(a, b, m);
+            assert_eq!(got, want, "{a} into {b}");
+            assert_eq!(got.const_of(v(9, "same")), Some(1));
+            assert_eq!(got.get(v(9, "differ")), Some(ConstVal::Unknown));
+            assert_eq!(got.const_of(v(2, "other")), Some(7));
+        }
     }
 
     #[test]

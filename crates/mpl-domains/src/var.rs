@@ -224,6 +224,20 @@ impl VarId {
         }
     }
 
+    /// Re-homes a per-set variable by the first `(from, to)` pair of
+    /// `map` whose `from` owns it (identity when none does). Applying one
+    /// map to every variable renames all its namespaces simultaneously.
+    #[must_use]
+    pub fn renumbered(self, map: &[(PsetId, PsetId)]) -> VarId {
+        match self.namespace() {
+            Some(p) => map
+                .iter()
+                .find(|&&(from, _)| from == p)
+                .map_or(self, |&(from, to)| self.renamed(from, to)),
+            None => self,
+        }
+    }
+
     /// The rich form, resolved through the thread-local [`VarTable`].
     #[must_use]
     pub fn resolve(self) -> NsVar {

@@ -28,9 +28,10 @@
 //! `for i=1 to np-1` parses verbatim.
 //!
 //! Nesting — parenthesised and unary sub-expressions plus `if`/`while`/
-//! `for` bodies, counted together — is capped at [`MAX_NESTING`], so a
-//! hostile input is a [`ParseError`] rather than a stack overflow here or
-//! in the recursive passes (CFG build, analysis, rendering) downstream.
+//! `for` bodies, counted together — is capped at [`MAX_NESTING`], and the
+//! height of an expression tree at [`MAX_EXPR_HEIGHT`], so a hostile input
+//! is a [`ParseError`] rather than a stack overflow here or in the
+//! recursive passes (CFG build, analysis, rendering) downstream.
 
 use std::error::Error;
 use std::fmt;
@@ -71,6 +72,20 @@ impl From<LexError> for ParseError {
 /// to spare: an unoptimized build runs out near 260 nested `if`s or 310
 /// nested parentheses.
 pub const MAX_NESTING: usize = 128;
+
+/// The tallest expression tree [`parse_program`] accepts, counted in
+/// operators on the longest root-to-leaf path: the flat chain
+/// `1 + 1 + … + 1` of `k` terms has height `k − 1`. Nesting alone does
+/// not bound this — such a chain parses iteratively at nesting 0 — but
+/// every pass after the parser recurses over the tree. An unoptimized
+/// build on a 2 MiB stack runs out near height 1660 (the simulator's
+/// evaluator; analysis, rendering and the other commands near 2090), with
+/// or without 120 enclosing `if`s; the cap leaves more than half of that
+/// to spare.
+pub const MAX_EXPR_HEIGHT: usize = 512;
+
+/// An expression with its height (see [`MAX_EXPR_HEIGHT`]).
+type Measured = (Expr, usize);
 
 struct Parser {
     tokens: Vec<Token>,
@@ -288,37 +303,57 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+        Ok(self.parse_or()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
+    /// `e` one operator taller than its tallest operand (of height `h`),
+    /// failing past [`MAX_EXPR_HEIGHT`].
+    fn taller(&self, e: Expr, h: usize) -> Result<Measured, ParseError> {
+        if h >= MAX_EXPR_HEIGHT {
+            return Err(self.error_here(&format!(
+                "expression taller than {MAX_EXPR_HEIGHT} operators"
+            )));
+        }
+        Ok((e, h + 1))
+    }
+
+    fn binary(
+        &self,
+        op: BinOp,
+        (l, hl): Measured,
+        (r, hr): Measured,
+    ) -> Result<Measured, ParseError> {
+        self.taller(Expr::binary(op, l, r), hl.max(hr))
+    }
+
+    fn parse_or(&mut self) -> Result<Measured, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.eat(&TokenKind::Or) {
             let rhs = self.parse_and()?;
-            lhs = Expr::binary(BinOp::Or, lhs, rhs);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
+    fn parse_and(&mut self) -> Result<Measured, ParseError> {
         let mut lhs = self.parse_not()?;
         while self.eat(&TokenKind::And) {
             let rhs = self.parse_not()?;
-            lhs = Expr::binary(BinOp::And, lhs, rhs);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
+    fn parse_not(&mut self) -> Result<Measured, ParseError> {
         if self.eat(&TokenKind::Not) {
-            let e = self.nested(Parser::parse_not)?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(e)))
+            let (e, h) = self.nested(Parser::parse_not)?;
+            self.taller(Expr::Unary(UnOp::Not, Box::new(e)), h)
         } else {
             self.parse_cmp()
         }
     }
 
-    fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
+    fn parse_cmp(&mut self) -> Result<Measured, ParseError> {
         let lhs = self.parse_sum()?;
         let op = match self.peek().kind {
             TokenKind::Eq => BinOp::Eq,
@@ -331,10 +366,10 @@ impl Parser {
         };
         self.bump();
         let rhs = self.parse_sum()?;
-        Ok(Expr::binary(op, lhs, rhs))
+        self.binary(op, lhs, rhs)
     }
 
-    fn parse_sum(&mut self) -> Result<Expr, ParseError> {
+    fn parse_sum(&mut self) -> Result<Measured, ParseError> {
         let mut lhs = self.parse_term()?;
         loop {
             let op = match self.peek().kind {
@@ -344,11 +379,11 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_term()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
     }
 
-    fn parse_term(&mut self) -> Result<Expr, ParseError> {
+    fn parse_term(&mut self) -> Result<Measured, ParseError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek().kind {
@@ -359,60 +394,46 @@ impl Parser {
             };
             self.bump();
             let rhs = self.parse_unary()?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Measured, ParseError> {
         if self.eat(&TokenKind::Minus) {
-            let e = self.nested(Parser::parse_unary)?;
+            let (e, h) = self.nested(Parser::parse_unary)?;
             // Constant-fold negative literals so `-1` is `Int(-1)`.
             if let Expr::Int(n) = e {
-                return Ok(Expr::Int(-n));
+                return Ok((Expr::Int(-n), 0));
             }
-            Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
+            self.taller(Expr::Unary(UnOp::Neg, Box::new(e)), h)
         } else {
             self.parse_atom()
         }
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(n) => {
-                self.bump();
-                Ok(Expr::Int(n))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::Bool(true))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::Bool(false))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::Var(name))
-            }
-            TokenKind::Id => {
-                self.bump();
-                Ok(Expr::Id)
-            }
-            TokenKind::Np => {
-                self.bump();
-                Ok(Expr::Np)
-            }
+    fn parse_atom(&mut self) -> Result<Measured, ParseError> {
+        let leaf = match self.peek().kind.clone() {
+            TokenKind::Int(n) => Expr::Int(n),
+            TokenKind::True => Expr::Bool(true),
+            TokenKind::False => Expr::Bool(false),
+            TokenKind::Ident(name) => Expr::Var(name),
+            TokenKind::Id => Expr::Id,
+            TokenKind::Np => Expr::Np,
             TokenKind::LParen => {
                 self.bump();
-                let e = self.nested(Parser::parse_expr)?;
+                let e = self.nested(Parser::parse_or)?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(self.error_here(&format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
-        }
+            other => {
+                return Err(self.error_here(&format!(
+                    "expected an expression, found {}",
+                    other.describe()
+                )))
+            }
+        };
+        self.bump();
+        Ok((leaf, 0))
     }
 }
 
@@ -631,6 +652,35 @@ mod tests {
         };
         assert!(parse_program(&mixed(MAX_NESTING - half)).is_ok());
         assert!(parse_program(&mixed(MAX_NESTING - half + 1)).is_err());
+    }
+
+    #[test]
+    fn expression_height_is_capped() {
+        // A flat chain of `k` operators is `k` tall at nesting 0.
+        let chain = |op: &str, k: usize| vec!["1"; k + 1].join(op);
+        let assign = |op: &str, k: usize| format!("x := {};", chain(op, k));
+        for op in [" + ", " - ", " * ", " and ", " or "] {
+            assert!(parse_program(&assign(op, MAX_EXPR_HEIGHT)).is_ok(), "{op}");
+            let err = parse_program(&assign(op, MAX_EXPR_HEIGHT + 1)).unwrap_err();
+            assert!(
+                err.message.contains("expression taller than"),
+                "{op}: {err}"
+            );
+            // Far past the cap: an error, not a stack overflow later.
+            assert!(parse_program(&assign(op, 100_000)).is_err(), "{op}");
+        }
+        // Height adds up through parentheses, comparisons and unary
+        // operators, which nest the chain without flattening it.
+        let half = MAX_EXPR_HEIGHT / 2;
+        let nested = |k: usize| format!("x := ({}) + {};", chain(" * ", half), chain(" + ", k));
+        assert!(parse_program(&nested(MAX_EXPR_HEIGHT - half - 1)).is_ok());
+        assert!(parse_program(&nested(MAX_EXPR_HEIGHT - half)).is_err());
+        let compared = |k: usize| format!("if {} < 2 then skip; end", chain(" + ", k));
+        assert!(parse_program(&compared(MAX_EXPR_HEIGHT - 1)).is_ok());
+        assert!(parse_program(&compared(MAX_EXPR_HEIGHT)).is_err());
+        let negated = |k: usize| format!("x := -({});", chain(" + ", k));
+        assert!(parse_program(&negated(MAX_EXPR_HEIGHT - 1)).is_ok());
+        assert!(parse_program(&negated(MAX_EXPR_HEIGHT)).is_err());
     }
 }
 

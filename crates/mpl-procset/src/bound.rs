@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mpl_domains::{ConstraintGraph, LinExpr, PsetId};
+use mpl_domains::{ConstraintGraph, LinExpr, PsetId, VarId};
 
 /// One end of a process range: a non-empty set of linear expressions,
 /// all equal to the bound's value in the current dataflow state.
@@ -79,41 +79,44 @@ impl Bound {
     /// singleton like `[2..2]` keeps the loop-invariant alias
     /// `P.id` across widening).
     pub fn saturate(&mut self, cg: &mut ConstraintGraph) {
-        let mut extra: BTreeSet<LinExpr> = BTreeSet::new();
-        // Aliases already emitted by an earlier *full* class scan in this
-        // call. The closed graph's exact-equality classes are transitive,
-        // so scanning such an alias would re-emit exactly the same set —
-        // and a saturated bound carries one alias per class member,
-        // making the naive pass O(aliases · vars). Skipping keeps it at
-        // one scan per distinct equality class.
-        let mut scanned: BTreeSet<LinExpr> = BTreeSet::new();
-        for e in &self.exprs {
-            if scanned.contains(e) {
+        // The current aliases in order, each flagged once an earlier
+        // *full* class scan in this call has emitted it. The closed
+        // graph's exact-equality classes are transitive, so scanning such
+        // an alias would re-emit exactly the same set — and a saturated
+        // bound carries one alias per class member, making the naive pass
+        // O(aliases · vars). Skipping keeps it at one scan per distinct
+        // equality class.
+        let exprs: Vec<LinExpr> = self.exprs.iter().copied().collect();
+        let mut scanned = vec![false; exprs.len()];
+        let mut found: Vec<LinExpr> = Vec::new();
+        for (k, e) in exprs.iter().enumerate() {
+            if scanned[k] {
                 continue;
             }
-            if let Some(base) = &e.var {
+            if let Some(base) = e.var {
                 for alias in cg.equalities_of(base) {
                     let a = alias.plus(e.offset);
-                    extra.insert(a);
-                    scanned.insert(a);
-                }
-            } else {
-                // Partial scan (pinned rank ids only) — its results do
-                // not justify skipping a later full scan, so they go to
-                // `extra` but not `scanned`. Rank variables are
-                // identified by bit test on the packed id; the snapshot
-                // of `Copy` ids costs one memcpy.
-                for v in cg.variables().to_vec() {
-                    if !v.is_rank_id() {
-                        continue;
+                    match exprs.binary_search(&a) {
+                        Ok(at) => scanned[at] = true,
+                        Err(_) => found.push(a),
                     }
-                    if let Some(cv) = cg.const_of(v) {
-                        extra.insert(LinExpr::var_plus(v, e.offset - cv));
+                }
+            } else if cg.variables().iter().any(|v| v.is_rank_id()) {
+                // Partial scan (pinned rank ids only) — its results do
+                // not justify skipping a later full scan, so they flag
+                // nothing. The pinned variables are `Zero`'s equality
+                // class: `v = Zero + c` is the alias `v - c`. Rank
+                // variables are identified by bit test on the packed id;
+                // without one there is nothing to find, and the scan
+                // (which closes the graph) is skipped.
+                for alias in cg.equalities_of(VarId::ZERO) {
+                    if alias.var.is_some_and(VarId::is_rank_id) {
+                        found.push(alias.plus(e.offset));
                     }
                 }
             }
         }
-        self.exprs.extend(extra);
+        self.exprs.extend(found);
     }
 
     /// The bound shifted by a constant (`b + c`).
@@ -124,11 +127,12 @@ impl Bound {
         }
     }
 
-    /// Rewrites per-set base variables from namespace `from` to `to`.
+    /// Rewrites per-set base variables by the namespace map `map` (see
+    /// [`VarId::renumbered`]).
     #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> Bound {
+    pub fn renumbered(&self, map: &[(PsetId, PsetId)]) -> Bound {
         Bound {
-            exprs: self.exprs.iter().map(|e| e.renamed(from, to)).collect(),
+            exprs: self.exprs.iter().map(|e| e.renumbered(map)).collect(),
         }
     }
 
@@ -157,14 +161,7 @@ impl Bound {
                 }
             }
         }
-        for a in &self.exprs {
-            for b in &other.exprs {
-                if let Some(ord) = cg.compare_exprs(a, b) {
-                    return Some(ord);
-                }
-            }
-        }
-        None
+        cg.first_comparison(&self.exprs, &other.exprs)
     }
 
     /// True if the graph proves `self = other`.
@@ -180,26 +177,8 @@ impl Bound {
         ) {
             return true;
         }
-        // One-directional fallback over all alias pairs. Pinned pairs are
-        // decided by value: on the closed feasible graph `proves_le`
-        // holds for two pinned aliases exactly when their constant values
-        // are ordered, so the integer comparison replaces the matrix
-        // probe without changing the answer. (On a bottom graph
-        // `eval_expr` pins nothing and every probe succeeds, as before.)
-        let avals: Vec<Option<i64>> = self.exprs.iter().map(|a| cg.eval_expr(a)).collect();
-        let bvals: Vec<Option<i64>> = other.exprs.iter().map(|b| cg.eval_expr(b)).collect();
-        for (a, &va) in self.exprs.iter().zip(&avals) {
-            for (b, &vb) in other.exprs.iter().zip(&bvals) {
-                let le = match (va, vb) {
-                    (Some(x), Some(y)) => x <= y,
-                    _ => cg.proves_le(a, b),
-                };
-                if le {
-                    return true;
-                }
-            }
-        }
-        false
+        // One-directional fallback over all alias pairs.
+        cg.any_proves_le(&self.exprs, &other.exprs)
     }
 
     /// True if the graph proves `self < other`.
@@ -335,7 +314,7 @@ mod tests {
     #[test]
     fn renamed_rewrites_namespaced_bases() {
         let b = Bound::of(LinExpr::of_var(var("i")));
-        let r = b.renamed(PsetId(0), PsetId(4));
+        let r = b.renumbered(&[(PsetId(0), PsetId(4))]);
         assert!(r
             .exprs()
             .contains(&LinExpr::of_var(NsVar::pset(PsetId(4), "i"))));

@@ -113,10 +113,11 @@ impl ProcRange {
         ProcRange::new(self.lb.plus(c), self.ub.plus(c))
     }
 
-    /// Renames per-set bound variables between namespaces.
+    /// Renames per-set bound variables by the namespace map `map` (see
+    /// [`mpl_domains::VarId::renumbered`]).
     #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> ProcRange {
-        ProcRange::new(self.lb.renamed(from, to), self.ub.renamed(from, to))
+    pub fn renumbered(&self, map: &[(PsetId, PsetId)]) -> ProcRange {
+        ProcRange::new(self.lb.renumbered(map), self.ub.renumbered(map))
     }
 
     /// Pointwise bound widening (alias-set intersection). The result may
@@ -373,7 +374,7 @@ mod tests {
         let r = ProcRange::singleton(LinExpr::of_var(var("i")));
         let shifted = r.plus(2);
         assert!(shifted.lb.exprs().contains(&LinExpr::var_plus(var("i"), 2)));
-        let renamed = r.renamed(PsetId(0), PsetId(3));
+        let renamed = r.renumbered(&[(PsetId(0), PsetId(3))]);
         assert!(renamed
             .lb
             .exprs()

@@ -73,17 +73,21 @@ if "$MPL" analyze-corpus --dir "$smoke_dir" --jobs 4 --timeout-ms 200 >/dev/null
   echo "expected nonzero exit without --keep-going"; exit 1
 fi
 
-echo "== hostile-input smoke (20k-deep nesting) =="
-# Nesting 20k deep used to overflow the stack and abort the process. It
-# is a parse error now: `mpl analyze` exits 2 (not a signal's 128+N),
-# and the serve smoke below sends the same file to its daemon.
+echo "== hostile-input smoke (20k-deep nesting, 100k-term flat chain) =="
+# Nesting 20k deep, and a flat `1 + 1 + ...` chain of 100k terms (a
+# 100k-tall expression tree), used to overflow the stack and abort the
+# process. They are parse errors now: `mpl analyze` exits 2 (not a
+# signal's 128+N), and the serve smoke below sends the same files to its
+# daemon.
 deep_parens="$smoke_dir/deep_parens.mpl"
 deep_ifs="$smoke_dir/deep_ifs.mpl"
+flat_chain="$smoke_dir/flat_chain.mpl"
 { printf 'x := '; printf '(%.0s' $(seq 20000); printf '1'; printf ')%.0s' $(seq 20000); printf ';\n'; } \
   > "$deep_parens"
 { printf 'if x < 1 then\n%.0s' $(seq 20000); printf 'y := 1;\n'; printf 'end\n%.0s' $(seq 20000); } \
   > "$deep_ifs"
-for deep in "$deep_parens" "$deep_ifs"; do
+{ printf 'x := 1'; printf ' + 1%.0s' $(seq 99999); printf ';\n'; } > "$flat_chain"
+for deep in "$deep_parens" "$deep_ifs" "$flat_chain"; do
   code=0
   "$MPL" analyze "$deep" >/dev/null 2>&1 || code=$?
   [ "$code" = 2 ] || { echo "mpl analyze $(basename "$deep") exited $code, expected 2"; exit 1; }
@@ -125,13 +129,15 @@ done
 stats=$("$MPL" client --socket "$sock" --op stats)
 hits=$(grep -o '"hits":[0-9]*' <<< "$stats" | grep -o '[0-9]*')
 [ "$hits" -ge 1 ] || { echo "expected >= 1 cache hit, got: $stats"; exit 1; }
-# The 20k-deep program gets a structured parse error, and the daemon
-# survives it to answer a ping.
-deep_reply=$("$MPL" client --socket "$sock" --file "$deep_parens" || true)
-grep -q '"code":"parse-error"' <<< "$deep_reply" \
-  || { echo "nested request was not a parse-error: $deep_reply"; exit 1; }
-"$MPL" client --socket "$sock" --op ping | grep -q '"type":"pong"' \
-  || { echo "serve daemon stopped answering after the nested request"; exit 1; }
+# The 20k-deep program and the 100k-term chain each get a structured
+# parse error, and the daemon survives each to answer a ping.
+for deep in "$deep_parens" "$flat_chain"; do
+  deep_reply=$("$MPL" client --socket "$sock" --file "$deep" || true)
+  grep -q '"code":"parse-error"' <<< "$deep_reply" \
+    || { echo "$(basename "$deep") request was not a parse-error: $deep_reply"; exit 1; }
+  "$MPL" client --socket "$sock" --op ping | grep -q '"type":"pong"' \
+    || { echo "serve daemon stopped answering after $(basename "$deep")"; exit 1; }
+done
 "$MPL" client --socket "$sock" --op shutdown >/dev/null
 wait "$serve_pid" || { echo "serve daemon exited nonzero"; exit 1; }
 grep -q '"type":"shutdown-summary"' "$smoke_dir/serve.log" \
